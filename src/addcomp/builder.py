@@ -152,21 +152,23 @@ def density_zero_diagnostic(
 
 
 def _build_blocks(a: NatSet, analysis: RatioAnalysis, horizon: int) -> list[BlockBuild]:
-    """Thin every dyadic block with 2^{i+2} inside the horizon, from gamma up."""
+    """Thin every dyadic block with 2^{i+2} inside the horizon, from gamma up.
+
+    A block whose precondition fails (checked by thin_block) is reported as
+    BlockPreconditionFailed at its exponent, keeping the failed clause.
+    """
     blocks: list[BlockBuild] = []
     i = analysis.gamma
     while (1 << (i + 2)) <= horizon:
         q = 1 << i
-        low = count_in(a, 1, q, "[)")
-        high = count_in(a, q, 4 * q, "(]")
-        if low <= high:
+        try:
+            selected, trace = thin_block(a, q)
+        except PreconditionViolated as exc:
             raise BlockPreconditionFailed(
                 i,
-                f"block exponent {i}: |A n [1,{q})| = {low} does not exceed "
-                f"|A n ({q},{4 * q}]| = {high}; the horizon is too small or the "
+                f"block exponent {i}: {exc}; the horizon is too small or the "
                 "ratio analysis was only an estimate",
-            )
-        selected, trace = thin_block(a, q)
+            ) from exc
         blocks.append(
             BlockBuild(
                 exponent=i,
@@ -178,7 +180,7 @@ def _build_blocks(a: NatSet, analysis: RatioAnalysis, horizon: int) -> list[Bloc
                 gain_cutoff=trace.gain_cutoff,
                 bound_two_term=trace.bound_two_term,
                 bound_closed_form=trace.bound_closed_form,
-                translate_bound_ok=high <= analysis.r,
+                translate_bound_ok=count_in(a, q, 4 * q, "(]") <= analysis.r,
             )
         )
         i += 1

@@ -5,9 +5,10 @@ as CSV (``n,count,ratio``) for plotting.  Set files use the shared format:
 one strictly increasing positive integer per line, '#' comments allowed.
 
 Exit codes: 0 success / verified, 1 a verification or coverage check came
-back negative, 2 invalid input or unsatisfiable parameters.  The --threads
-knob is accepted for interface stability (ADDCOMP_THREADS overrides the
-default); results never depend on it.
+back negative, 2 invalid input, unsatisfiable parameters or an unwritable
+output path; main() maps each exception to its exit code in one table.
+The --threads knob is accepted for interface stability (ADDCOMP_THREADS
+overrides the default); results never depend on it.
 """
 
 from __future__ import annotations
@@ -19,16 +20,7 @@ import sys
 
 from . import __version__
 from .builder import ComplementBuild, build_complement, geometric_points, verify_cover
-from .errors import (
-    AddcompError,
-    BlockPreconditionFailed,
-    CoverFailed,
-    IndexOutOfRange,
-    NoCover,
-    PreconditionViolated,
-    RatioNotSatisfied,
-    TooLarge,
-)
+from .errors import AddcompError, CoverFailed, NoCover
 from .greedy import GreedyInstance, GreedyTrace, greedy_cover, greedy_thin, thin_block
 from .natset import NatSet, density_profile, from_interval, read_set_file, write_set_file
 from .oracle import gap_detector, minimal_cover
@@ -38,20 +30,8 @@ __all__ = ["main"]
 
 _MAX_LISTED = 20
 
-_INVALID_INPUT = (
-    ValueError,
-    OSError,
-    RatioNotSatisfied,
-    IndexOutOfRange,
-    PreconditionViolated,
-    BlockPreconditionFailed,
-    TooLarge,
-)
-
-
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+#: Exit code of each failure, first match wins; every one prints one "error:" line.
+_EXIT_CODES = {CoverFailed: 1, NoCover: 1, ValueError: 2, OSError: 2, AddcompError: 2}
 
 
 def _resolve_set(text: str, horizon: int | None) -> NatSet:
@@ -150,14 +130,8 @@ def _trace_report(trace: GreedyTrace, *, context: dict) -> dict:
 
 
 def _cmd_build(args) -> int:
-    try:
-        spec = parse_spec(args.spec, args.horizon)
-        build = build_complement(spec, alpha_hint=args.alpha)
-    except CoverFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _INVALID_INPUT as exc:
-        return _fail(str(exc))
+    spec = parse_spec(args.spec, args.horizon)
+    build = build_complement(spec, alpha_hint=args.alpha)
     if args.out:
         write_set_file(args.out, build.complement, comment=f"complement of {build.source}")
     if args.report:
@@ -175,14 +149,11 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        lo, hi = _parse_range(args.range)
-        a = _resolve_set(args.a, max(hi, args.horizon or 1))
-        b = read_set_file(args.b_file).with_horizon(max(hi, 1))
-        a = a.with_horizon(max(a.horizon, hi))
-        cert = verify_cover(a, b, lo, hi)
-    except _INVALID_INPUT as exc:
-        return _fail(str(exc))
+    lo, hi = _parse_range(args.range)
+    a = _resolve_set(args.a, max(hi, args.horizon or 1))
+    b = read_set_file(args.b_file).with_horizon(max(hi, 1))
+    a = a.with_horizon(max(a.horizon, hi))
+    cert = verify_cover(a, b, lo, hi)
     if cert.ok:
         print(f"coverage ({lo}, {hi}] verified; a={cert.a_digest[:12]} b={cert.b_digest[:12]}")
         return 0
@@ -191,25 +162,22 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_thin(args) -> int:
-    try:
-        if args.q is not None:
-            a = _resolve_set(args.a, args.horizon or 4 * args.q)
-            selected, trace = thin_block(a, args.q)
-            context = {"source": args.a, "q": args.q, "m": 2 * args.q, "n": 2 * args.q,
-                       "x1": args.q, "x2": 4 * args.q}
-        else:
-            needed = [name for name in ("m", "n", "x1", "x2", "b_file")
-                      if getattr(args, name) is None]
-            if needed:
-                raise ValueError(f"explicit mode needs --{', --'.join(needed)} (or use --q)")
-            a = _resolve_set(args.a, args.horizon or args.x2)
-            b = read_set_file(args.b_file).with_horizon(args.x2)
-            inst = GreedyInstance(a=a, b=b, m=args.m, n=args.n, x1=args.x1, x2=args.x2)
-            selected, trace = greedy_thin(inst)
-            context = {"source": args.a, "m": args.m, "n": args.n,
-                       "x1": args.x1, "x2": args.x2}
-    except _INVALID_INPUT as exc:
-        return _fail(str(exc))
+    if args.q is not None:
+        a = _resolve_set(args.a, args.horizon or 4 * args.q)
+        selected, trace = thin_block(a, args.q)
+        context = {"source": args.a, "q": args.q, "m": 2 * args.q, "n": 2 * args.q,
+                   "x1": args.q, "x2": 4 * args.q}
+    else:
+        needed = [name for name in ("m", "n", "x1", "x2", "b_file")
+                  if getattr(args, name) is None]
+        if needed:
+            raise ValueError(f"explicit mode needs --{', --'.join(needed)} (or use --q)")
+        a = _resolve_set(args.a, args.horizon or args.x2)
+        b = read_set_file(args.b_file).with_horizon(args.x2)
+        inst = GreedyInstance(a=a, b=b, m=args.m, n=args.n, x1=args.x1, x2=args.x2)
+        selected, trace = greedy_thin(inst)
+        context = {"source": args.a, "m": args.m, "n": args.n,
+                   "x1": args.x1, "x2": args.x2}
     if args.out:
         write_set_file(args.out, selected, comment=f"thinned cover from {args.a}")
     if args.report:
@@ -221,12 +189,9 @@ def _cmd_thin(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    try:
-        s = _resolve_set(args.set, args.horizon)
-        points = geometric_points(s.horizon, args.samples)
-        profile = density_profile(s, points)
-    except _INVALID_INPUT as exc:
-        return _fail(str(exc))
+    s = _resolve_set(args.set, args.horizon)
+    points = geometric_points(s.horizon, args.samples)
+    profile = density_profile(s, points)
     if args.format == "csv":
         lines = ["n,count,ratio"]
         lines += [f"{x.n},{x.count},{x.ratio}" for x in profile.samples]
@@ -253,12 +218,9 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_gap(args) -> int:
-    try:
-        lo, hi = _parse_range(args.range)
-        a = _resolve_set(args.a, max(hi, args.horizon or 1))
-        gaps = gap_detector(a, lo, hi)
-    except _INVALID_INPUT as exc:
-        return _fail(str(exc))
+    lo, hi = _parse_range(args.range)
+    a = _resolve_set(args.a, max(hi, args.horizon or 1))
+    gaps = gap_detector(a, lo, hi)
     if not gaps:
         print(f"no gaps in ({lo}, {hi}]: every point splits as (element) + (non-element)")
         return 0
@@ -271,22 +233,16 @@ def _cmd_gap(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    try:
-        horizon = args.horizon or (args.x2 if args.x2 else None)
-        a = _resolve_set(args.a, horizon)
-        if args.b_file:
-            b = read_set_file(args.b_file)
-        elif args.x1 is not None and args.x2 is not None:
-            window = from_interval(args.x1, args.x2, "(]", horizon=max(args.x2, a.horizon))
-            b = NatSet._from_mask(window._mask & ~a._mask, window.horizon)
-        else:
-            raise ValueError("provide --b-file or both --x1 and --x2")
-        optimal, size = minimal_cover(a, b, args.m, args.n)
-    except (TooLarge, ValueError, OSError, PreconditionViolated) as exc:
-        return _fail(str(exc))
-    except NoCover as exc:
-        print(f"no cover: {exc}", file=sys.stderr)
-        return 1
+    horizon = args.horizon or (args.x2 if args.x2 else None)
+    a = _resolve_set(args.a, horizon)
+    if args.b_file:
+        b = read_set_file(args.b_file)
+    elif args.x1 is not None and args.x2 is not None:
+        window = from_interval(args.x1, args.x2, "(]", horizon=max(args.x2, a.horizon))
+        b = NatSet._from_mask(window._mask & ~a._mask, window.horizon)
+    else:
+        raise ValueError("provide --b-file or both --x1 and --x2")
+    optimal, size = minimal_cover(a, b, args.m, args.n)
     chosen, gains = greedy_cover(a, b, args.m, args.n)
     payload = {
         "tool_version": __version__,
@@ -381,9 +337,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except AddcompError as exc:  # anything a subcommand did not map itself
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -17,12 +17,22 @@ cutoff = floor(depth / ln depth) the selection satisfies
 where H is the exact harmonic number.  Depths below 3 are a degenerate
 regime where the cutoff formula collapses; thinning is skipped there and
 S = B is returned with the trace flagged.
+
+Each fact is checked once, by its owner.  GreedyInstance.validate checks
+the instance's shape, B inside (x1, x2], m + n <= x2 and depth > 0; a
+positive depth already puts every target in at least `depth` translates
+(the translate-count lower bound), so the initial cover is not re-proven
+here.  For a dyadic block, cover.block_cover checks the block's shape,
+horizon and counting hypothesis and proves the cover by sumset; the depth
+check is then exactly |A n [1,q)| > |A n (q,4q]|.  builder re-verifies the
+assembled complement from scratch.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +40,7 @@ from typing import Mapping
 
 from .cover import block_cover
 from .errors import CoverFailed, PreconditionViolated
-from .natset import NatSet, count_in, from_interval, sumset
+from .natset import NatSet, count_in, from_interval
 
 __all__ = [
     "DEGENERATE_DEPTH",
@@ -63,7 +73,14 @@ class GreedyInstance:
         return count_in(self.a, 1, self.m - self.x1, "[)") - (self.x2 - self.x1 - len(self.b))
 
     def validate(self) -> int:
-        """Check every precondition; returns the depth on success."""
+        """Check the instance's preconditions; returns the depth on success.
+
+        Checks n >= 1, 1 <= x1 < x2, B inside (x1, x2], m + n <= x2 and
+        depth > 0.  The initial cover needs no separate check: every target
+        t in (m, m+n] lies in at least depth translates A + i, i in B, by the
+        translate-count lower bound at t.  greedy_cover's exhaustion guard
+        is the runtime backstop.
+        """
         if self.n < 1:
             raise PreconditionViolated("n >= 1", f"got n={self.n}")
         if not (1 <= self.x1 < self.x2):
@@ -82,13 +99,6 @@ class GreedyInstance:
             raise PreconditionViolated(
                 "depth > 0",
                 f"|A n [1,{self.m - self.x1})| - ({self.x2}-{self.x1}-{len(self.b)}) = {d}",
-            )
-        reach = sumset(self.a, self.b, self.m + self.n)
-        target = from_interval(self.m, self.m + self.n, "(]", horizon=self.m + self.n)
-        if not target.issubset(reach):
-            raise PreconditionViolated(
-                "initial cover",
-                f"({self.m}, {self.m + self.n}] not contained in the union of translates",
             )
         return d
 
@@ -121,24 +131,22 @@ def _relevant_elements(a: NatSet, m: int, n: int) -> list[int]:
     return [x for x in a.to_list() if x <= m + n - 1]
 
 
-def _marginal_run(a_list, order, m, n):
-    """Replay candidates in the given order, recording marginal gains."""
-    flags = bytearray(n + 1)
-    for i in range(1, n + 1):
-        flags[i] = 1
-    gains = []
-    end = m + n
-    for b_el in order:
-        g = 0
-        for x in a_list:
-            t = x + b_el
-            if t > end:
-                break
-            if t > m and flags[t - m]:
-                flags[t - m] = 0
-                g += 1
-        gains.append(g)
-    return gains
+def _uncovered_flags(n: int) -> bytearray:
+    """flags[t - m] == 1 for every target t in (m, m+n]; index 0 is unused."""
+    return bytearray(1) + b"\x01" * n
+
+
+def _clear_covered(flags: bytearray, a_list: list[int], b_el: int, m: int, end: int) -> int:
+    """Clear the targets in (m, end] that A + b_el covers; returns how many were set."""
+    g = 0
+    for x in a_list:
+        t = x + b_el
+        if t > end:
+            break
+        if t > m and flags[t - m]:
+            flags[t - m] = 0
+            g += 1
+    return g
 
 
 def greedy_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[list[int], list[int]]:
@@ -154,29 +162,15 @@ def greedy_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[list[int], list[
     """
     a_list = _relevant_elements(a, m, n)
     end = m + n
-    # Prefix counts of A up to the window end make the initial gains O(1) each.
-    present = bytearray(end + 1)
-    for x in a_list:
-        present[x] = 1
-    prefix = [0] * (end + 1)
-    acc = 0
-    for i in range(1, end + 1):
-        acc += present[i]
-        prefix[i] = acc
-
+    # The initial gain of b_el counts the x in a_list with m < x + b_el <= end.
     heap = []
     for b_el in b:
-        if b_el >= end:
-            continue  # x >= 1 pushes every sum past the window
-        lo = m - b_el
-        g = prefix[end - b_el] - (prefix[lo] if lo > 0 else 0)
+        g = bisect_right(a_list, end - b_el) - bisect_right(a_list, m - b_el)
         if g > 0:
             heap.append((-g, b_el))
     heapq.heapify(heap)
 
-    flags = bytearray(n + 1)
-    for i in range(1, n + 1):
-        flags[i] = 1
+    flags = _uncovered_flags(n)
     uncovered = n
     chosen: list[int] = []
     gains: list[int] = []
@@ -201,52 +195,9 @@ def greedy_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[list[int], list[
                 heapreplace(heap, (-g, b_el))
             continue
         heappop(heap)
-        for x in a_list:
-            t = x + b_el
-            if t > end:
-                break
-            if t > m and flags[t - m]:
-                flags[t - m] = 0
-        uncovered -= g
+        uncovered -= _clear_covered(flags, a_list, b_el, m, end)
         chosen.append(b_el)
         gains.append(g)
-    return chosen, gains
-
-
-def _greedy_cover_reference(a: NatSet, b: NatSet, m: int, n: int):
-    """Full per-step recomputation; the plain reference the fast path must match."""
-    a_list = _relevant_elements(a, m, n)
-    end = m + n
-    flags = bytearray(n + 1)
-    for i in range(1, n + 1):
-        flags[i] = 1
-    uncovered = n
-    remaining = b.to_list()
-    chosen, gains = [], []
-    while uncovered:
-        best_g, best_b = 0, None
-        for b_el in remaining:
-            g = 0
-            for x in a_list:
-                t = x + b_el
-                if t > end:
-                    break
-                if t > m and flags[t - m]:
-                    g += 1
-            if g > best_g:  # strict: first (smallest) element wins ties
-                best_g, best_b = g, b_el
-        if best_b is None:
-            raise CoverFailed("candidates exhausted with targets still uncovered")
-        for x in a_list:
-            t = x + best_b
-            if t > end:
-                break
-            if t > m and flags[t - m]:
-                flags[t - m] = 0
-                uncovered -= 1
-        remaining.remove(best_b)
-        chosen.append(best_b)
-        gains.append(best_g)
     return chosen, gains
 
 
@@ -293,7 +244,9 @@ def greedy_thin(inst: GreedyInstance) -> tuple[NatSet, GreedyTrace]:
     depth = inst.validate()
     if depth < DEGENERATE_DEPTH:
         order = inst.b.to_list()
-        gains = _marginal_run(_relevant_elements(inst.a, inst.m, inst.n), order, inst.m, inst.n)
+        a_list = _relevant_elements(inst.a, inst.m, inst.n)
+        flags = _uncovered_flags(inst.n)
+        gains = [_clear_covered(flags, a_list, b_el, inst.m, inst.m + inst.n) for b_el in order]
         trace = GreedyTrace(
             chosen=tuple(order),
             gains=tuple(gains),
@@ -327,21 +280,13 @@ def greedy_thin(inst: GreedyInstance) -> tuple[NatSet, GreedyTrace]:
 def thin_block(a: NatSet, q: int) -> tuple[NatSet, GreedyTrace]:
     """Thin the cover of the dyadic block (2q, 4q] drawn from (q, 4q] minus A.
 
-    Requires |A n [1, q)| > |A n (q, 4q]| and a horizon of at least 4q.
-    The block cover is established first (so the greedy instance's initial
-    cover is a theorem, not an assumption), then thinned; the depth equals
-    |A n [1, q)| - |A n (q, 4q]|.
+    Requires q >= 1, a horizon of at least 4q and |A n [1, q)| > |A n (q, 4q]|.
+    block_cover checks the first two and its own counting hypothesis, and
+    proves the cover of (2q, 4q] by sumset.  The instance's depth equals
+    |A n [1, q)| - |A n (q, 4q]|, so validate's depth > 0 check is the
+    block's counting precondition.  Each failure raises PreconditionViolated
+    naming its clause.
     """
-    if q < 1:
-        raise PreconditionViolated("q >= 1", f"got q={q}")
-    if a.horizon < 4 * q:
-        raise PreconditionViolated("horizon >= 4q", f"horizon {a.horizon} < {4 * q}")
-    low = count_in(a, 1, q, "[)")
-    high = count_in(a, q, 4 * q, "(]")
-    if low <= high:
-        raise PreconditionViolated(
-            "|A n [1,q)| > |A n (q,4q]|", f"got {low} <= {high} at q={q}"
-        )
     result = block_cover(a, q, 2 * q, 4 * q)
     inst = GreedyInstance(a=a, b=result.candidate_set, m=2 * q, n=2 * q, x1=q, x2=4 * q)
     return greedy_thin(inst)

@@ -1,14 +1,14 @@
 """Independent brute-force references for differential testing.
 
 Nothing here shares an algorithm with the fast paths: the sumset reference
-is a plain double loop over elements, and minimal_cover enumerates subsets.
-Both exist so the optimized implementations have something honest to be
-checked against.
+is a plain double loop over elements, minimal_cover enumerates subsets, and
+the greedy reference recomputes every gain at every step.  They exist so
+the optimized implementations have something honest to be checked against.
 """
 
 from __future__ import annotations
 
-from .errors import NoCover, TooLarge
+from .errors import CoverFailed, NoCover, TooLarge
 from .natset import NatSet, _range_mask, from_interval, sumset
 
 __all__ = [
@@ -112,3 +112,40 @@ def sumset_reference(a: NatSet, b: NatSet, horizon: int | None = None) -> NatSet
                 break
             out.add(s)
     return NatSet(sorted(out), h)
+
+
+def _greedy_cover_reference(a: NatSet, b: NatSet, m: int, n: int):
+    """Full per-step recomputation; the plain reference greedy_cover must match."""
+    end = m + n
+    a_list = [x for x in a if x < end]  # x >= end cannot land a sum in (m, end]
+    flags = bytearray(n + 1)
+    for i in range(1, n + 1):
+        flags[i] = 1
+    uncovered = n
+    remaining = b.to_list()
+    chosen, gains = [], []
+    while uncovered:
+        best_g, best_b = 0, None
+        for b_el in remaining:
+            g = 0
+            for x in a_list:
+                t = x + b_el
+                if t > end:
+                    break
+                if t > m and flags[t - m]:
+                    g += 1
+            if g > best_g:  # strict: first (smallest) element wins ties
+                best_g, best_b = g, b_el
+        if best_b is None:
+            raise CoverFailed("candidates exhausted with targets still uncovered")
+        for x in a_list:
+            t = x + best_b
+            if t > end:
+                break
+            if t > m and flags[t - m]:
+                flags[t - m] = 0
+                uncovered -= 1
+        remaining.remove(best_b)
+        chosen.append(best_b)
+        gains.append(best_g)
+    return chosen, gains

@@ -71,8 +71,6 @@ class SequenceSpec:
 def _coerce_fraction(value, what: str) -> Fraction:
     # Strings go through Fraction directly so "1.05" means 21/20 exactly.
     try:
-        if isinstance(value, str):
-            return Fraction(value)
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError):
         raise ValueError(f"cannot interpret {value!r} as a {what}") from None

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from addcomp import (
@@ -93,6 +95,17 @@ def test_block_precondition_failure_is_reported():
     with pytest.raises(BlockPreconditionFailed) as err:
         _build_blocks(a, forged, 1 << 12)
     assert err.value.exponent == 1
+
+
+def test_block_precondition_failure_keeps_its_cause():
+    # the block failure wraps thin_block's own clause instead of recounting it
+    a = generate(parse_spec("powers:2", 1 << 12))
+    forged = replace(analyze_ratio(a.to_list()), gamma=1, threshold=4, certified=False)
+    with pytest.raises(BlockPreconditionFailed) as err:
+        _build_blocks(a, forged, 1 << 12)
+    cause = err.value.__cause__
+    assert isinstance(cause, PreconditionViolated)
+    assert cause.clause in str(err.value)
 
 
 def test_density_samples_start_at_threshold():

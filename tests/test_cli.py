@@ -66,6 +66,15 @@ def test_build_bad_spec_exits_2():
     assert main(["build", "powersof:2", "--horizon", "1024"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--out", "--report"])
+def test_build_unwritable_output_exits_2(tmp_path, capsys, flag):
+    target = tmp_path / "missing-dir" / "file"
+    assert main(["build", "powers:2", "--horizon", "4096", flag, str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 def test_verify_detects_missing(tmp_path, capsys):
     broken = tmp_path / "broken.set"
     write_set_file(broken, NatSet([5], 10))

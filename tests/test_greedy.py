@@ -20,7 +20,8 @@ from addcomp import (
     thin_block,
     two_term_bound,
 )
-from addcomp.greedy import _greedy_cover_reference, _two_term_bound_exact
+from addcomp.greedy import _two_term_bound_exact
+from addcomp.oracle import _greedy_cover_reference
 from conftest import random_greedy_instance
 
 
@@ -73,9 +74,21 @@ def test_precondition_clauses_are_named():
     with pytest.raises(PreconditionViolated) as err:
         greedy_thin(GreedyInstance(a=NatSet([9, 10], 20), b=b, m=8, n=2, x1=5, x2=12))
     assert "depth" in str(err.value)
-    # The initial-cover clause is checked too, but a positive depth already
-    # forces coverage (the translate-count lower bound is positive at every
-    # target), so it cannot fire on an instance that passed the depth check.
+    # There is no initial-cover clause: a positive depth already forces
+    # coverage (the translate-count lower bound is positive at every target),
+    # see test_positive_depth_forces_initial_cover.
+
+
+def test_positive_depth_forces_initial_cover():
+    # the theorem that lets validate skip a sumset: depth >= 1 puts every
+    # target in at least depth translates, so the window is already covered
+    rng = random.Random(54)
+    for _ in range(200):
+        inst = random_greedy_instance(rng, min_depth=1)
+        assert inst.validate() >= 1
+        end = inst.m + inst.n
+        window = from_interval(inst.m, end, "(]", horizon=end)
+        assert window.issubset(sumset(inst.a, inst.b, end))
 
 
 def test_gain_cutoff_values():
