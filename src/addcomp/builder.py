@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .errors import BlockPreconditionFailed, CoverFailed, PreconditionViolated
-from .greedy import thin_block
+from .greedy import GreedyTrace, thin_block
 from .natset import (
     DensityProfile,
     NatSet,
@@ -38,23 +38,19 @@ __all__ = [
     "geometric_points",
 ]
 
-#: Families whose ratio analysis is analytic rather than finite-prefix.
-_CERTIFIED_FAMILIES = ("powers", "geometric")
+#: Families whose tail bound holds beyond the horizon: powers, as a_{n+1} = k * a_n exactly.
+#: The floors floor(c * alpha^i) of geometric can break a prefix-witnessed bound later on.
+_CERTIFIED_FAMILIES = ("powers",)
 
 
 @dataclass(frozen=True)
 class BlockBuild:
-    """One thinned dyadic block: selection from (base, 4*base] minus A."""
+    """One thinned dyadic block: selection from (base, 4*base] minus A, and its trace."""
 
     exponent: int
     base: int
     selected: NatSet
-    size: int
-    degenerate: bool
-    depth: int
-    gain_cutoff: int
-    bound_two_term: float | None
-    bound_closed_form: float | None
+    trace: GreedyTrace
     translate_bound_ok: bool  # |A n (base, 4*base]| <= r, re-checked at runtime
 
 
@@ -174,12 +170,7 @@ def _build_blocks(a: NatSet, analysis: RatioAnalysis, horizon: int) -> list[Bloc
                 exponent=i,
                 base=q,
                 selected=selected,
-                size=len(selected),
-                degenerate=trace.degenerate,
-                depth=trace.depth,
-                gain_cutoff=trace.gain_cutoff,
-                bound_two_term=trace.bound_two_term,
-                bound_closed_form=trace.bound_closed_form,
+                trace=trace,
                 translate_bound_ok=count_in(a, q, 4 * q, "(]") <= analysis.r,
             )
         )

@@ -7,8 +7,6 @@ one strictly increasing positive integer per line, '#' comments allowed.
 Exit codes: 0 success / verified, 1 a verification or coverage check came
 back negative, 2 invalid input, unsatisfiable parameters or an unwritable
 output path; main() maps each exception to its exit code in one table.
-The --threads knob is accepted for interface stability (ADDCOMP_THREADS
-overrides the default); results never depend on it.
 """
 
 from __future__ import annotations
@@ -54,8 +52,8 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _write_json(path: str | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2)
+def _emit(path: str | None, text: str) -> None:
+    """Write text plus a newline to path, or print it when no path is given."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -63,10 +61,14 @@ def _write_json(path: str | None, payload: dict) -> None:
         print(text)
 
 
-def _print_missing(missing) -> None:
-    shown = list(missing[:_MAX_LISTED])
-    print(f"missing {len(missing)} point(s): {' '.join(map(str, shown))}"
-          + (f" ... and {len(missing) - len(shown)} more" if len(missing) > len(shown) else ""))
+def _write_json(path: str | None, payload: dict) -> None:
+    _emit(path, json.dumps(payload, indent=2))
+
+
+def _print_points(points, label: str = "missing") -> None:
+    shown = list(points[:_MAX_LISTED])
+    print(f"{label} {len(points)} point(s): {' '.join(map(str, shown))}"
+          + (f" ... and {len(points) - len(shown)} more" if len(points) > len(shown) else ""))
 
 
 def _build_report(build: ComplementBuild) -> dict:
@@ -87,12 +89,12 @@ def _build_report(build: ComplementBuild) -> dict:
             {
                 "exponent": blk.exponent,
                 "base": blk.base,
-                "size": blk.size,
-                "degenerate": blk.degenerate,
-                "depth": blk.depth,
-                "gain_cutoff": blk.gain_cutoff,
-                "bound_two_term": blk.bound_two_term,
-                "bound_closed_form": blk.bound_closed_form,
+                "size": len(blk.selected),
+                "degenerate": blk.trace.degenerate,
+                "depth": blk.trace.depth,
+                "gain_cutoff": blk.trace.gain_cutoff,
+                "bound_two_term": blk.trace.bound_two_term,
+                "bound_closed_form": blk.trace.bound_closed_form,
                 "translate_bound_ok": blk.translate_bound_ok,
             }
             for blk in build.blocks
@@ -144,7 +146,7 @@ def _cmd_build(args) -> int:
     if cov.ok:
         print(f"coverage ({cov.lo}, {cov.hi}] verified")
         return 0
-    _print_missing(cov.missing)
+    _print_points(cov.missing)
     return 1
 
 
@@ -152,12 +154,14 @@ def _cmd_verify(args) -> int:
     lo, hi = _parse_range(args.range)
     a = _resolve_set(args.a, max(hi, args.horizon or 1))
     b = read_set_file(args.b_file).with_horizon(max(hi, 1))
-    a = a.with_horizon(max(a.horizon, hi))
+    if not b.isdisjoint(a):
+        _print_points((a.with_horizon(b.horizon) & b).to_list(), label="B meets A in")
+        return 1
     cert = verify_cover(a, b, lo, hi)
     if cert.ok:
         print(f"coverage ({lo}, {hi}] verified; a={cert.a_digest[:12]} b={cert.b_digest[:12]}")
         return 0
-    _print_missing(cert.missing)
+    _print_points(cert.missing)
     return 1
 
 
@@ -195,12 +199,7 @@ def _cmd_density(args) -> int:
     if args.format == "csv":
         lines = ["n,count,ratio"]
         lines += [f"{x.n},{x.count},{x.ratio}" for x in profile.samples]
-        text = "\n".join(lines)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _emit(args.out, "\n".join(lines))
     else:
         _write_json(
             args.out,
@@ -224,7 +223,7 @@ def _cmd_gap(args) -> int:
     if not gaps:
         print(f"no gaps in ({lo}, {hi}]: every point splits as (element) + (non-element)")
         return 0
-    _print_missing(gaps.to_list())
+    _print_points(gaps.to_list())
     print(
         f"within ({lo}, {hi}] this is exact (sums from beyond {hi} cannot land here); "
         "it says nothing about larger targets"
@@ -274,12 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct, thin, and exactly verify sparse additive complements.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("ADDCOMP_THREADS", "0")),
-        help="worker cap (0 = all cores); never changes any output byte",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="build a verified complement from dyadic blocks")
@@ -290,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None, help="write the JSON report")
     p.set_defaults(func=_cmd_build)
 
-    p = sub.add_parser("verify", help="check that A + B covers a range")
+    p = sub.add_parser("verify", help="check that B avoids A and A + B covers a range")
     _add_common_set_args(p)
     p.add_argument("b_file", help="set file with the complement candidate")
     p.add_argument("--range", required=True, help="LO..HI, checks (LO, HI]")

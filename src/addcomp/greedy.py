@@ -237,44 +237,35 @@ def closed_form_bound(num_candidates: int, depth: int, num_targets: int, cutoff:
 def greedy_thin(inst: GreedyInstance) -> tuple[NatSet, GreedyTrace]:
     """Thin the candidate set, or return it whole in the degenerate regime.
 
-    Validates every instance precondition first.  Non-degenerate runs come
-    with the two bound values computed from the instance's depth; the greedy
-    result always satisfies the two-term bound.
+    Validates every instance precondition first and builds one trace for
+    either regime.  Non-degenerate runs carry the two bound values computed
+    from the depth and always satisfy the two-term bound; degenerate runs
+    leave both bounds None and select B itself.
     """
     depth = inst.validate()
+    cutoff = choose_gain_cutoff(depth)
+    two_term = closed_form = None
     if depth < DEGENERATE_DEPTH:
-        order = inst.b.to_list()
+        chosen = inst.b.to_list()
         a_list = _relevant_elements(inst.a, inst.m, inst.n)
         flags = _uncovered_flags(inst.n)
-        gains = [_clear_covered(flags, a_list, b_el, inst.m, inst.m + inst.n) for b_el in order]
-        trace = GreedyTrace(
-            chosen=tuple(order),
-            gains=tuple(gains),
-            peak_gain=gains[0] if gains else 0,
-            gain_counts=dict(Counter(g for g in gains if g)),
-            depth=depth,
-            gain_cutoff=1,
-            bound_two_term=None,
-            bound_closed_form=None,
-            degenerate=True,
-        )
-        return inst.b, trace
-
-    chosen, gains = greedy_cover(inst.a, inst.b, inst.m, inst.n)
-    cutoff = choose_gain_cutoff(depth)
+        gains = [_clear_covered(flags, a_list, b_el, inst.m, inst.m + inst.n) for b_el in chosen]
+    else:
+        chosen, gains = greedy_cover(inst.a, inst.b, inst.m, inst.n)
+        two_term = two_term_bound(len(inst.b), depth, inst.n, cutoff)
+        closed_form = closed_form_bound(len(inst.b), depth, inst.n, cutoff)
     trace = GreedyTrace(
         chosen=tuple(chosen),
         gains=tuple(gains),
-        peak_gain=gains[0],
-        gain_counts=dict(Counter(gains)),
+        peak_gain=gains[0] if gains else 0,
+        gain_counts=dict(Counter(g for g in gains if g)),
         depth=depth,
         gain_cutoff=cutoff,
-        bound_two_term=two_term_bound(len(inst.b), depth, inst.n, cutoff),
-        bound_closed_form=closed_form_bound(len(inst.b), depth, inst.n, cutoff),
-        degenerate=False,
+        bound_two_term=two_term,
+        bound_closed_form=closed_form,
+        degenerate=depth < DEGENERATE_DEPTH,
     )
-    selected = NatSet(sorted(chosen), inst.b.horizon)
-    return selected, trace
+    return NatSet(sorted(chosen), inst.b.horizon), trace
 
 
 def thin_block(a: NatSet, q: int) -> tuple[NatSet, GreedyTrace]:

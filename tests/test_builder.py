@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +18,7 @@ from addcomp import (
     verify_cover,
 )
 from addcomp.builder import _build_blocks, geometric_points
-from addcomp.sequences import analyze_ratio
+from addcomp.sequences import _generate_geometric, analyze_ratio, ratio_tail_holds
 
 
 def test_build_powers_small_horizon():
@@ -37,10 +38,10 @@ def test_build_blocks_stay_in_their_interval():
     for blk in build.blocks:
         box = from_interval(blk.base, 4 * blk.base, "(]", horizon=blk.selected.horizon)
         assert blk.selected.issubset(box)
-        assert blk.size == len(blk.selected)
+        assert len(blk.trace.chosen) == len(blk.selected)
         assert blk.translate_bound_ok
-        if not blk.degenerate:
-            assert blk.size <= blk.bound_two_term
+        if not blk.trace.degenerate:
+            assert len(blk.selected) <= blk.trace.bound_two_term
 
 
 def test_build_each_block_covers_its_dyadic_range():
@@ -63,7 +64,16 @@ def test_build_explicit_with_hint():
     assert (build.coverage.lo, build.coverage.hi) == (512, 1 << 19)
     assert not build.analysis.certified
     # the sparse early blocks collapse to the degenerate whole-interval form
-    assert any(b.degenerate for b in build.blocks)
+    assert any(b.trace.degenerate for b in build.blocks)
+
+
+def test_geometric_build_is_not_certified():
+    # the prefix witnesses alpha = 3/2 from n0 = 26, yet the floors
+    # floor((3/2)^i) break that tail bound beyond the horizon
+    build = build_complement(parse_spec("geometric:c=1,alpha=3/2", 1 << 16), alpha_hint="5/4")
+    assert not build.analysis.certified
+    far = _generate_geometric(Fraction(1), Fraction(3, 2), 2**60)
+    assert not ratio_tail_holds(far, 26, Fraction(3, 2))
 
 
 def test_build_composites_propagates_ratio_failure():

@@ -82,6 +82,17 @@ def test_verify_detects_missing(tmp_path, capsys):
     assert "missing" in capsys.readouterr().out
 
 
+def test_verify_rejects_b_meeting_a(tmp_path, capsys):
+    # 1..4096 covers every target but contains the powers of two themselves
+    overlapping = tmp_path / "all.set"
+    write_set_file(overlapping, NatSet(range(1, 4097), 4096))
+    code = main(["verify", "powers:2", str(overlapping), "--range", "128..2048",
+                 "--horizon", "4096"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert out.startswith("B meets A in 12 point(s): 1 2 4 8 16 32 64 128 256 512 1024 2048\n")
+
+
 def test_verify_lists_at_most_twenty(tmp_path, capsys):
     broken = tmp_path / "broken.set"
     write_set_file(broken, NatSet([5], 10))
@@ -131,6 +142,31 @@ def test_thin_precondition_failure_exits_2(tmp_path):
     assert main(["thin", f"file:{a_file}", "--q", "8", "--horizon", "64"]) == 2
 
 
+def test_build_report_blocks_mixing_degenerate_regime(tmp_path):
+    # the sparse early blocks of 10^i are kept whole (no bounds), the later
+    # ones are thinned; both regimes share one trace construction
+    a_file = tmp_path / "tenpow.set"
+    write_set_file(a_file, NatSet([10**i for i in range(7)], 10**6))
+    report_path = tmp_path / "R.json"
+    assert main(["build", f"file:{a_file}", "--horizon", "1000000", "--alpha", "10",
+                 "--report", str(report_path)]) == 0
+    blocks = json.loads(report_path.read_text())["blocks"]
+    got = [(b["exponent"], b["size"], b["degenerate"], b["depth"], b["gain_cutoff"],
+            b["bound_two_term"], b["bound_closed_form"]) for b in blocks]
+    assert got == [
+        (8, 767, True, 2, 1, None, None),
+        (9, 1535, True, 2, 1, None, None),
+        (10, 747, False, 4, 2, 2176.0, 2324.337034670038),
+        (11, 1287, False, 4, 2, 4352.0, 4648.674069340076),
+        (12, 2324, False, 3, 2, 10239.5, 11030.566469180016),
+        (13, 4428, False, 3, 2, 20479.5, 22061.697320753556),
+        (14, 8910, False, 5, 3, 28945.066666666666, 31552.86490918965),
+        (15, 17640, False, 4, 2, 69631.625, 74378.36182264608),
+        (16, 34808, False, 4, 2, 139263.625, 148757.14693208731),
+        (17, 66277, False, 6, 3, 207530.66666666666, 224915.98828348657),
+    ]
+
+
 def test_density_csv(tmp_path, capsys):
     out = tmp_path / "d.csv"
     assert main(["density", "powers:2", "--horizon", "1024", "--samples", "6",
@@ -172,14 +208,6 @@ def test_oracle_command(tmp_path, capsys):
 def test_oracle_too_large_exits_2(tmp_path):
     assert main(["oracle", "powers:2", "--horizon", "256", "--m", "32", "--n", "16",
                  "--x1", "16", "--x2", "64"]) == 2
-
-
-def test_threads_flag_does_not_change_output(tmp_path):
-    r1 = tmp_path / "r1.json"
-    r2 = tmp_path / "r2.json"
-    assert main(["--threads", "1", "build", "powers:2", "--horizon", "4096", "--report", str(r1)]) == 0
-    assert main(["--threads", "7", "build", "powers:2", "--horizon", "4096", "--report", str(r2)]) == 0
-    assert r1.read_bytes() == r2.read_bytes()
 
 
 def test_module_entry_point(tmp_path):
