@@ -4,7 +4,8 @@ Elements live in [1, horizon] and membership is stored densely as one big
 integer (bit i set exactly when i is in the set).  Every operation is exact
 on [1, horizon]; results that would land outside are clipped, and the
 clipping is part of each operation's contract.  The dense form makes the
-hot paths (sumset, interval counting) single big-integer shifts and masks.
+hot paths (sumset, interval counting) single big-integer shifts and masks;
+sumset also stops shifting once the clipped result can no longer grow.
 
 NatSet values are immutable after construction, so any number of threads
 may read them concurrently.
@@ -225,17 +226,31 @@ def sumset(a: NatSet, b: NatSet, horizon: int | None = None) -> NatSet:
 
     Exact for every n <= horizon: a representation n = x + y forces
     x, y < n <= horizon, so truncating the inputs at the horizon loses no
-    representation of any in-range n.  Iterates the smaller operand and
-    ORs shifted copies of the other's mask.
+    representation of any in-range n.  Iterates the smaller operand in
+    ascending order and ORs shifted copies of the other's mask.
+
+    Stops early once the result can no longer grow: after the shift by e,
+    every later shift sets only bits at or above e + 1 + min(big), so the
+    bits below that line are final, and if every bit from the line up to
+    the horizon is already set, no later shift changes the result.  The
+    check costs O(horizon), so it runs after shifts 1, 2, 4, 8, ... only;
+    a sumset that never saturates pays for log2(shifts) checks.
     """
     h = _pick_horizon(horizon, a, b)
     small, big = (a, b) if len(a) <= len(b) else (b, a)
     big_mask = big._mask
+    low = big.min_element()
     acc = 0
-    for e in small:
+    next_check = 1
+    for done, e in enumerate(small, 1):
         if e >= h:
             break
         acc |= big_mask << e
+        if done == next_check:
+            next_check <<= 1
+            tail = _range_mask(e + 1 + low, h)
+            if acc & tail == tail:
+                break
     return NatSet._from_mask(acc & _range_mask(1, h), h)
 
 

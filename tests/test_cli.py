@@ -83,14 +83,30 @@ def test_verify_detects_missing(tmp_path, capsys):
 
 
 def test_verify_rejects_b_meeting_a(tmp_path, capsys):
-    # 1..4096 covers every target but contains the powers of two themselves
+    # 1..4096 covers every target but contains the powers of two themselves,
+    # including 4096 above the range: disjointness is checked up to A's horizon
     overlapping = tmp_path / "all.set"
     write_set_file(overlapping, NatSet(range(1, 4097), 4096))
     code = main(["verify", "powers:2", str(overlapping), "--range", "128..2048",
                  "--horizon", "4096"])
     assert code == 1
     out = capsys.readouterr().out
-    assert out.startswith("B meets A in 12 point(s): 1 2 4 8 16 32 64 128 256 512 1024 2048\n")
+    assert out.startswith(
+        "B meets A in 13 point(s): 1 2 4 8 16 32 64 128 256 512 1024 2048 4096\n"
+    )
+
+
+def test_verify_sees_b_meeting_a_above_the_range(tmp_path, capsys):
+    # A built B plus 4096, a power of two above hi: coverage of (128, 2048] holds
+    clip = tmp_path / "clip.set"
+    assert main(["build", "powers:2", "--horizon", "4096", "--out", str(clip)]) == 0
+    with open(clip, "a", encoding="utf-8") as fh:
+        fh.write("4096\n")
+    capsys.readouterr()
+    code = main(["verify", "powers:2", str(clip), "--range", "128..2048",
+                 "--horizon", "4096"])
+    assert code == 1
+    assert capsys.readouterr().out == "B meets A in 1 point(s): 4096\n"
 
 
 def test_verify_lists_at_most_twenty(tmp_path, capsys):

@@ -2,11 +2,14 @@ import random
 
 import pytest
 
+import addcomp.natset as natset_module
 from addcomp import (
     NatSet,
     count_in,
     density_profile,
     from_interval,
+    generate,
+    parse_spec,
     read_set_file,
     reflect,
     sumset,
@@ -160,6 +163,52 @@ def test_sumset_matches_reference_on_random_pairs():
         a = random_natset(rng, h, rng.uniform(0.0, 0.2))
         b = random_natset(rng, h, rng.uniform(0.0, 0.2))
         assert sumset(a, b, h) == sumset_reference(a, b, h)
+
+
+def _count_pulls(monkeypatch) -> list[int]:
+    """Record every element sumset draws from its smaller operand."""
+    pulled: list[int] = []
+    plain = natset_module._iter_mask
+
+    def counting(mask):
+        for x in plain(mask):
+            pulled.append(x)
+            yield x
+
+    monkeypatch.setattr(natset_module, "_iter_mask", counting)
+    return pulled
+
+
+def test_sumset_early_exit_matches_reference_on_dense_pairs(monkeypatch):
+    rng = random.Random(101)
+    pulled = _count_pulls(monkeypatch)
+    for _ in range(60):
+        h = rng.randint(10, 2000)
+        a = random_natset(rng, h, rng.uniform(0.5, 0.95))
+        b = random_natset(rng, h, rng.uniform(0.5, 0.95))
+        want = sumset_reference(a, b, h)
+        pulled.clear()
+        assert sumset(a, b, h) == want
+        assert len(pulled) < min(len(a), len(b)), "the loop never stopped early"
+
+
+def test_sumset_early_exit_keeps_low_holes(monkeypatch):
+    # Full from 22 up after two shifts, with holes below: the stop is not an interval test.
+    h = 200
+    a = NatSet([3, 7, *range(20, h + 1)], h)
+    b = NatSet([2, *range(40, h + 1)], h)
+    pulled = _count_pulls(monkeypatch)
+    got = sumset(a, b, h)
+    assert pulled == [2, 40]
+    assert got.to_list() == [5, 9, *range(22, h + 1)]
+    assert got == sumset_reference(a, b, h)
+
+
+@pytest.mark.parametrize("h", [10, 11, 97, 500, 1999, 2000])
+def test_sumset_composites_against_non_composites(h):
+    comp = generate(parse_spec("composites", h))
+    outside = comp.complement()
+    assert sumset(comp, outside, h) == sumset_reference(comp, outside, h)
 
 
 def test_sumset_commutes_and_matches_translate():

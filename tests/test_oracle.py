@@ -84,6 +84,8 @@ def test_gap_detector_evens():
 def test_gap_detector_composites_is_empty():
     comp = generate(parse_spec("composites", 10**4))
     assert gap_detector(comp, 10, 10**4).to_list() == []
+    comp = generate(parse_spec("composites", 10**5))
+    assert gap_detector(comp, 10, 10**5).to_list() == []
 
 
 def test_gap_detector_full_set_has_no_candidates():
