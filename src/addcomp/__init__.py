@@ -20,13 +20,11 @@ from .cover import (
     BlockCoverResult,
     block_cover,
     translate_count_lower_bound,
-    translate_count_upper_bound,
 )
 from .errors import (
     AddcompError,
     BlockPreconditionFailed,
     CoverFailed,
-    HypothesisViolated,
     IndexOutOfRange,
     NoCover,
     PreconditionViolated,
@@ -53,7 +51,6 @@ from .natset import (
     read_set_file,
     reflect,
     sumset,
-    translate,
     write_set_file,
 )
 from .oracle import gap_detector, minimal_cover, sumset_reference
@@ -77,7 +74,6 @@ __all__ = [
     "DensityProfile",
     "from_interval",
     "sumset",
-    "translate",
     "reflect",
     "count_in",
     "density_profile",
@@ -95,7 +91,6 @@ __all__ = [
     "BlockCoverResult",
     "block_cover",
     "translate_count_lower_bound",
-    "translate_count_upper_bound",
     # greedy
     "GreedyInstance",
     "GreedyTrace",
@@ -122,7 +117,6 @@ __all__ = [
     "CoverFailed",
     "RatioNotSatisfied",
     "IndexOutOfRange",
-    "HypothesisViolated",
     "BlockPreconditionFailed",
     "TooLarge",
     "NoCover",

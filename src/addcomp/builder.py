@@ -12,7 +12,7 @@ decays; all three facts are re-verified exactly, never assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import BlockPreconditionFailed, CoverFailed, PreconditionViolated
@@ -178,11 +178,7 @@ def _build_blocks(a: NatSet, analysis: RatioAnalysis, horizon: int) -> list[Bloc
     return blocks
 
 
-def build_complement(
-    spec: SequenceSpec,
-    horizon: int | None = None,
-    alpha_hint=None,
-) -> ComplementBuild:
+def build_complement(spec: SequenceSpec, alpha_hint=None) -> ComplementBuild:
     """Run the full pipeline and return the verified build.
 
     The coverage certificate spans (threshold, hi] where hi is the end of
@@ -190,8 +186,6 @@ def build_complement(
     is certified beyond exact knowledge.  Density is sampled at powers of
     two from the threshold upward.
     """
-    if horizon is not None and horizon != spec.horizon:
-        spec = replace(spec, horizon=horizon)
     h = spec.horizon
     a = generate(spec)
     analysis = analyze_ratio(

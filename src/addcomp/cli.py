@@ -178,7 +178,7 @@ def _cmd_thin(args) -> int:
         if needed:
             raise ValueError(f"explicit mode needs --{', --'.join(needed)} (or use --q)")
         a = _resolve_set(args.a, args.horizon or args.x2)
-        b = read_set_file(args.b_file).with_horizon(args.x2)
+        b = read_set_file(args.b_file)
         inst = GreedyInstance(a=a, b=b, m=args.m, n=args.n, x1=args.x1, x2=args.x2)
         selected, trace = greedy_thin(inst)
         context = {"source": args.a, "m": args.m, "n": args.n,

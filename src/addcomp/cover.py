@@ -4,48 +4,32 @@ The core fact: when n >= 2m and the initial segment A n [1, m] outnumbers
 the slice A n (m, end], every target in (n, end] is a sum of an element of
 A and a non-element of A drawn from (m, end].  block_cover() checks the
 counting preconditions, builds the candidate set, and verifies the cover by
-an exact sumset; it can also record one witness pair per target.
-
-The two counting operations bound how many translates A + i with i in a
-candidate set hit a point (from below) or a target set (from above); both
-return the two sides so callers can assert the inequality.
+an exact sumset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
-from .errors import CoverFailed, HypothesisViolated, PreconditionViolated
+from .errors import CoverFailed, PreconditionViolated
 from .natset import NatSet, count_in, from_interval, reflect, sumset
 
 __all__ = [
     "BlockCoverResult",
     "block_cover",
     "translate_count_lower_bound",
-    "translate_count_upper_bound",
 ]
 
 
 @dataclass(frozen=True)
 class BlockCoverResult:
-    """Verified cover of (n, end] by A + candidate_set.
+    """Verified cover of (n, end] by A + candidate_set."""
 
-    u is the largest element of A n [1, m]; the optional witness map sends
-    each target t to one pair (a, v) with a in A, v in the candidate set and
-    a + v = t, choosing the smallest such a for determinism.
-    """
-
-    m: int
-    n: int
-    end: int
-    u: int
     candidate_set: NatSet
     covered: NatSet
-    witnesses: Mapping[int, tuple[int, int]] | None = None
 
 
-def block_cover(a: NatSet, m: int, n: int, end: int, *, witnesses: bool = False) -> BlockCoverResult:
+def block_cover(a: NatSet, m: int, n: int, end: int) -> BlockCoverResult:
     """Cover (n, end] by A + ((m, end] minus A), verified exactly.
 
     Preconditions (checked, each failure names its clause): n >= 2m,
@@ -67,10 +51,6 @@ def block_cover(a: NatSet, m: int, n: int, end: int, *, witnesses: bool = False)
         raise PreconditionViolated(
             "|A n [1,m]| > |A n (m,end]|", f"got {low} <= {high} (m={m}, end={end})"
         )
-    # low > high >= 0 guarantees A n [1, m] is nonempty.
-    head_mask = a._mask & ((1 << (m + 1)) - 2)
-    u = head_mask.bit_length() - 1
-
     interval = from_interval(m, end, "(]", horizon=end)
     candidate = NatSet._from_mask(interval._mask & ~a._mask, end)
     covered = from_interval(n, end, "(]", horizon=end)
@@ -80,21 +60,7 @@ def block_cover(a: NatSet, m: int, n: int, end: int, *, witnesses: bool = False)
         raise CoverFailed(
             f"{missing} targets in ({n}, {end}] not reachable despite valid preconditions"
         )
-
-    wit = None
-    if witnesses:
-        wit = {}
-        cand_mask = candidate._mask
-        a_list = a.to_list()
-        for t in covered:
-            for x in a_list:
-                v = t - x
-                if v <= m:
-                    break  # later x only shrink v further
-                if (cand_mask >> v) & 1:
-                    wit[t] = (x, v)
-                    break
-    return BlockCoverResult(m=m, n=n, end=end, u=u, candidate_set=candidate, covered=covered, witnesses=wit)
+    return BlockCoverResult(candidate_set=candidate, covered=covered)
 
 
 def translate_count_lower_bound(
@@ -113,23 +79,3 @@ def translate_count_lower_bound(
     lhs = (reflect(n, b, a.horizon)._mask & a._mask).bit_count()
     rhs = count_in(a, n - hi, n - lo, "[)") - (hi - lo - len(b))
     return lhs, rhs
-
-
-def translate_count_upper_bound(
-    a: NatSet, b: NatSet, targets: NatSet, r: int
-) -> tuple[int, int]:
-    """Total hits of the translates A + x, x in B, inside the target set.
-
-    Checks the hypothesis that each single translate meets the targets at
-    most r times (HypothesisViolated names the first offender) and returns
-    (total, r * |B|).  An empty B gives (0, 0) by the empty-sum convention.
-    """
-    total = 0
-    target_mask = targets._mask
-    a_mask = a._mask
-    for x in b:
-        hits = ((a_mask << x) & target_mask).bit_count()
-        if hits > r:
-            raise HypothesisViolated(x, f"translate by {x} meets {hits} targets, allowed {r}")
-        total += hits
-    return total, r * len(b)

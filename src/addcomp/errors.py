@@ -8,7 +8,6 @@ __all__ = [
     "CoverFailed",
     "RatioNotSatisfied",
     "IndexOutOfRange",
-    "HypothesisViolated",
     "BlockPreconditionFailed",
     "TooLarge",
     "NoCover",
@@ -32,19 +31,11 @@ class CoverFailed(AddcompError):
 
 
 class RatioNotSatisfied(AddcompError):
-    """No valid (alpha, tail start) witnesses the growth-ratio condition."""
+    """No (alpha, tail start) pair satisfies the growth-ratio condition."""
 
 
 class IndexOutOfRange(AddcompError):
     """The sequence is too short for the derived parameters."""
-
-
-class HypothesisViolated(AddcompError):
-    """A per-element hypothesis failed; carries the offending element."""
-
-    def __init__(self, offender: int, detail: str = ""):
-        self.offender = offender
-        super().__init__(detail or f"hypothesis violated at {offender}")
 
 
 class BlockPreconditionFailed(AddcompError):

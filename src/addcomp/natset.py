@@ -24,7 +24,6 @@ __all__ = [
     "DensityProfile",
     "from_interval",
     "sumset",
-    "translate",
     "reflect",
     "count_in",
     "density_profile",
@@ -145,33 +144,15 @@ class NatSet:
             return None
         return (self._mask & -self._mask).bit_length() - 1
 
-    def max_element(self) -> int | None:
-        if not self._mask:
-            return None
-        return self._mask.bit_length() - 1
-
-    def _require_same_horizon(self, other: "NatSet") -> None:
+    def intersection(self, other: "NatSet") -> "NatSet":
         if self._horizon != other._horizon:
             raise ValueError(
                 f"horizon mismatch: {self._horizon} vs {other._horizon}; "
                 "use with_horizon() to align first"
             )
-
-    def union(self, other: "NatSet") -> "NatSet":
-        self._require_same_horizon(other)
-        return NatSet._from_mask(self._mask | other._mask, self._horizon)
-
-    def intersection(self, other: "NatSet") -> "NatSet":
-        self._require_same_horizon(other)
         return NatSet._from_mask(self._mask & other._mask, self._horizon)
 
-    def difference(self, other: "NatSet") -> "NatSet":
-        self._require_same_horizon(other)
-        return NatSet._from_mask(self._mask & ~other._mask, self._horizon)
-
-    __or__ = union
     __and__ = intersection
-    __sub__ = difference
 
     def issubset(self, other: "NatSet") -> bool:
         """Element containment; horizons need not match."""
@@ -179,10 +160,6 @@ class NatSet:
 
     def isdisjoint(self, other: "NatSet") -> bool:
         return self._mask & other._mask == 0
-
-    def complement(self) -> "NatSet":
-        """[1, horizon] minus this set."""
-        return NatSet._from_mask(_range_mask(1, self._horizon) & ~self._mask, self._horizon)
 
     def with_horizon(self, horizon: int) -> "NatSet":
         """Same elements re-truncated to a new horizon (clips when shrinking)."""
@@ -252,13 +229,6 @@ def sumset(a: NatSet, b: NatSet, horizon: int | None = None) -> NatSet:
             if acc & tail == tail:
                 break
     return NatSet._from_mask(acc & _range_mask(1, h), h)
-
-
-def translate(b: NatSet, u: int, horizon: int | None = None) -> NatSet:
-    """{u + y : y in b}, clipped to [1, horizon]; u may be negative."""
-    h = _pick_horizon(horizon, b)
-    mask = b._mask << u if u >= 0 else b._mask >> -u
-    return NatSet._from_mask(mask & _range_mask(1, h), h)
 
 
 def reflect(u: int, b: NatSet, horizon: int | None = None) -> NatSet:

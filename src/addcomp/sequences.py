@@ -296,15 +296,17 @@ def analyze_ratio(
                 "no grid ratio holds on any tail; the sequence grows too slowly"
             )
 
+    # Stop raising the power once the sequence is too short for r: as alpha
+    # nears 1 the exact powers grow long and r runs into the thousands.
     r = 1
     power = alpha
-    while power < 4:
+    while power < 4 and 2 * r + 2 <= len(seq):
         power *= alpha
         r += 1
-
-    if len(seq) < 2 * r + 2:
+    if 2 * r + 2 > len(seq):
         raise IndexOutOfRange(
-            f"need at least {2 * r + 2} elements within the horizon for r={r}, got {len(seq)}"
+            f"need at least {2 * r + 2} elements within the horizon for r >= {r}, "
+            f"got {len(seq)}"
         )
     p = 1 + max(seq[n0 - 1], seq[2 * r])  # strictly above max(a_n0, a_(2r+1))
     gamma = p.bit_length() + 1            # == 2 + floor(log2 p)

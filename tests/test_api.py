@@ -1,0 +1,35 @@
+import dataclasses
+import importlib
+import inspect
+
+import pytest
+
+from addcomp import BlockCoverResult, NatSet, build_complement
+
+MODULES = ("addcomp", *(f"addcomp.{name}" for name in (
+    "builder", "cli", "cover", "errors", "greedy", "natset", "oracle", "sequences")))
+
+#: Public names that were removed; none may come back through an export list.
+REMOVED = ("translate", "translate_count_upper_bound", "HypothesisViolated")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_exports_resolve(module):
+    mod = importlib.import_module(module)
+    for name in mod.__all__:
+        assert hasattr(mod, name), f"{module}.{name}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_removed_names_stay_gone(module):
+    mod = importlib.import_module(module)
+    assert not set(REMOVED) & set(mod.__all__)
+    assert not set(REMOVED) & set(vars(mod))
+
+
+def test_removed_members_stay_gone():
+    for attr in ("union", "difference", "complement", "max_element", "__or__", "__sub__"):
+        assert attr not in vars(NatSet), attr
+    fields = [f.name for f in dataclasses.fields(BlockCoverResult)]
+    assert fields == ["candidate_set", "covered"]
+    assert "horizon" not in inspect.signature(build_complement).parameters

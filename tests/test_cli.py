@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -22,6 +23,18 @@ def test_build_verify_round_trip(tmp_path):
     lo, hi = report["coverage"]["lo"], report["coverage"]["hi"]
     code = main(["verify", "powers:2", str(out), "--range", f"{lo}..{hi}", "--horizon", "65536"])
     assert code == 0
+
+
+def test_build_output_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "B.set"
+    assert main(["build", "powers:2", "--horizon", "65536", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "built 8503 elements in 9 blocks (gamma=6, threshold=128)\n"
+        "coverage (128, 32768] verified\n"
+    )
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "458167d56e2ae8099aa3afb7fdc1fb18f623f180b3056b5ef429ee85a80226da"
+    )
 
 
 def test_report_schema_keys(tmp_path):
@@ -145,6 +158,17 @@ def test_thin_explicit_mode(tmp_path):
          "--x1", "10", "--x2", "40", "--b-file", str(b_file), "--horizon", "40"]
     )
     assert code == 0
+
+
+def test_thin_explicit_mode_rejects_b_beyond_x2(tmp_path, capsys):
+    b_file = tmp_path / "B.set"
+    write_set_file(b_file, [*range(5, 17), 500])
+    code = main(
+        ["thin", "powers:2", "--m", "8", "--n", "8", "--x1", "4", "--x2", "16",
+         "--b-file", str(b_file), "--horizon", "16"]
+    )
+    assert code == 2
+    assert "B subset of (x1, x2]" in capsys.readouterr().err
 
 
 def test_thin_explicit_mode_requires_all_flags(capsys):

@@ -100,7 +100,7 @@ def test_gap_detector_soundness_pointwise():
         a = random_natset(rng, h, rng.uniform(0.2, 0.8))
         lo = rng.randint(0, 10)
         gaps = gap_detector(a, lo, h)
-        outside = a.complement()
+        outside = NatSet([x for x in range(1, h + 1) if x not in a], h)
         for n in gaps:
             assert not (reflect(n, outside, h) & a)
 

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -154,3 +155,13 @@ def test_certified_flag_passthrough():
     seq = generate(parse_spec("powers:2", 1 << 10)).to_list()
     assert analyze_ratio(seq).certified is False
     assert analyze_ratio(seq, certified=True).certified is True
+
+
+def test_hint_near_one_fails_fast():
+    # r with 1.0001**r >= 4 is about 13,900; the 11 powers of two up to 2^10
+    # rule out r >= 5 long before the exact powers of the hint get that far.
+    seq = generate(parse_spec("powers:2", 1 << 10))
+    start = time.perf_counter()
+    with pytest.raises(IndexOutOfRange, match="got 11"):
+        analyze_ratio(seq, alpha_hint="1.0001")
+    assert time.perf_counter() - start < 0.25
