@@ -48,6 +48,7 @@ from .natset import (
     count_in,
     density_profile,
     from_interval,
+    non_elements,
     read_set_file,
     reflect,
     sumset,
@@ -74,6 +75,7 @@ __all__ = [
     "DensityProfile",
     "from_interval",
     "sumset",
+    "non_elements",
     "reflect",
     "count_in",
     "density_profile",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import BlockPreconditionFailed, CoverFailed, PreconditionViolated
@@ -20,10 +21,9 @@ from .greedy import GreedyTrace, thin_block
 from .natset import (
     DensityProfile,
     NatSet,
-    _range_mask,
     count_in,
     density_profile,
-    from_interval,
+    non_elements,
     sumset,
 )
 from .sequences import RatioAnalysis, SequenceSpec, analyze_ratio, generate
@@ -95,10 +95,7 @@ def verify_cover(a: NatSet, b: NatSet, lo: int, hi: int) -> CoverCertificate:
             f"hi={hi} beyond a horizon (a: {a.horizon}, b: {b.horizon}); "
             "exactness would be lost"
         )
-    reach = sumset(a, b, max(hi, 1))
-    target = from_interval(lo, hi, "(]", horizon=max(hi, 1))
-    missing_mask = target._mask & ~reach._mask
-    missing = tuple(NatSet._from_mask(missing_mask, max(hi, 1)).to_list())
+    missing = tuple(non_elements(sumset(a, b, max(hi, 1)), lo, hi))
     return CoverCertificate(
         lo=lo,
         hi=hi,
@@ -198,10 +195,7 @@ def build_complement(spec: SequenceSpec, alpha_hint=None) -> ComplementBuild:
             f"horizon {h} cannot fit the first block ending at {first_block_end}",
         )
     blocks = _build_blocks(a, analysis, h)
-    mask = 0
-    for blk in blocks:
-        mask |= blk.selected._mask
-    complement = NatSet._from_mask(mask & _range_mask(1, h), h)
+    complement = NatSet(chain.from_iterable(blk.selected for blk in blocks), h)
     if not complement.isdisjoint(a):
         raise CoverFailed("complement intersects the base set; blocks are corrupt")
 

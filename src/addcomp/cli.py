@@ -18,9 +18,9 @@ import sys
 
 from . import __version__
 from .builder import ComplementBuild, build_complement, geometric_points, verify_cover
-from .errors import AddcompError, CoverFailed, NoCover
+from .errors import AddcompError, CoverFailed, NoCover, PreconditionViolated
 from .greedy import GreedyInstance, GreedyTrace, greedy_cover, greedy_thin, thin_block
-from .natset import NatSet, density_profile, from_interval, read_set_file, write_set_file
+from .natset import NatSet, density_profile, non_elements, read_set_file, write_set_file
 from .oracle import gap_detector, minimal_cover
 from .sequences import FAMILIES, generate, parse_spec
 
@@ -181,6 +181,8 @@ def _cmd_thin(args) -> int:
         b = read_set_file(args.b_file)
         inst = GreedyInstance(a=a, b=b, m=args.m, n=args.n, x1=args.x1, x2=args.x2)
         selected, trace = greedy_thin(inst)
+        if not b.issubset(non_elements(a, args.x1, args.x2)):
+            raise PreconditionViolated("B n A = empty", f"{next(x for x in b if x in a)} is in both")
         context = {"source": args.a, "m": args.m, "n": args.n,
                    "x1": args.x1, "x2": args.x2}
     if args.out:
@@ -238,8 +240,7 @@ def _cmd_oracle(args) -> int:
     if args.b_file:
         b = read_set_file(args.b_file)
     elif args.x1 is not None and args.x2 is not None:
-        window = from_interval(args.x1, args.x2, "(]", horizon=max(args.x2, a.horizon))
-        b = NatSet._from_mask(window._mask & ~a._mask, window.horizon)
+        b = non_elements(a, args.x1, args.x2)
     else:
         raise ValueError("provide --b-file or both --x1 and --x2")
     optimal, size = minimal_cover(a, b, args.m, args.n)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CoverFailed, PreconditionViolated
-from .natset import NatSet, count_in, from_interval, reflect, sumset
+from .natset import NatSet, count_in, from_interval, non_elements, reflect, sumset
 
 __all__ = [
     "BlockCoverResult",
@@ -51,16 +51,13 @@ def block_cover(a: NatSet, m: int, n: int, end: int) -> BlockCoverResult:
         raise PreconditionViolated(
             "|A n [1,m]| > |A n (m,end]|", f"got {low} <= {high} (m={m}, end={end})"
         )
-    interval = from_interval(m, end, "(]", horizon=end)
-    candidate = NatSet._from_mask(interval._mask & ~a._mask, end)
-    covered = from_interval(n, end, "(]", horizon=end)
-    reach = sumset(a, candidate, end)
-    if not covered.issubset(reach):
-        missing = (covered._mask & ~reach._mask).bit_count()
+    candidate = non_elements(a, m, end)
+    missing = non_elements(sumset(a, candidate, end), n, end)
+    if missing:
         raise CoverFailed(
-            f"{missing} targets in ({n}, {end}] not reachable despite valid preconditions"
+            f"{len(missing)} targets in ({n}, {end}] not reachable despite valid preconditions"
         )
-    return BlockCoverResult(candidate_set=candidate, covered=covered)
+    return BlockCoverResult(candidate, from_interval(n, end, "(]", horizon=end))
 
 
 def translate_count_lower_bound(
@@ -76,6 +73,6 @@ def translate_count_lower_bound(
     window = from_interval(lo, hi, "(]", horizon=max(b.horizon, hi if hi >= 1 else 1))
     if not b.issubset(window):
         raise PreconditionViolated("B subset of (lo, hi]", f"B has elements outside ({lo}, {hi}]")
-    lhs = (reflect(n, b, a.horizon)._mask & a._mask).bit_count()
+    lhs = len(reflect(n, b, a.horizon) & a)
     rhs = count_in(a, n - hi, n - lo, "[)") - (hi - lo - len(b))
     return lhs, rhs

@@ -1,8 +1,9 @@
 """Exact sets of natural numbers truncated to a finite horizon.
 
 Elements live in [1, horizon] and membership is stored densely as one big
-integer (bit i set exactly when i is in the set).  Every operation is exact
-on [1, horizon]; results that would land outside are clipped, and the
+integer (bit i set exactly when i is in the set), private to this module:
+other modules use only the operations below.  Every operation is exact on
+[1, horizon]; results that would land outside are clipped, and the
 clipping is part of each operation's contract.  The dense form makes the
 hot paths (sumset, interval counting) single big-integer shifts and masks;
 sumset also stops shifting once the clipped result can no longer grow.
@@ -24,6 +25,7 @@ __all__ = [
     "DensityProfile",
     "from_interval",
     "sumset",
+    "non_elements",
     "reflect",
     "count_in",
     "density_profile",
@@ -231,15 +233,20 @@ def sumset(a: NatSet, b: NatSet, horizon: int | None = None) -> NatSet:
     return NatSet._from_mask(acc & _range_mask(1, h), h)
 
 
+def non_elements(a: NatSet, lo: int, hi: int) -> NatSet:
+    """The points of (lo, hi] not in A, on horizon max(hi, 1).
+
+    Membership above A's horizon is unknown, so hi may not exceed it.
+    """
+    if hi > a._horizon:
+        raise ValueError(f"hi={hi} beyond horizon {a._horizon}")
+    return NatSet._from_mask(_range_mask(max(lo + 1, 1), hi) & ~a._mask, max(hi, 1))
+
+
 def reflect(u: int, b: NatSet, horizon: int | None = None) -> NatSet:
     """{u - y : y in b} intersected with [1, horizon]."""
     h = _pick_horizon(horizon, b)
-    buf = bytearray((h >> 3) + 1)
-    for y in b:
-        v = u - y
-        if 1 <= v <= h:
-            buf[v >> 3] |= 1 << (v & 7)
-    return NatSet._from_mask(int.from_bytes(bytes(buf), "little"), h)
+    return NatSet((u - y for y in b if 1 <= u - y <= h), h)
 
 
 def count_in(a: NatSet, lo: int, hi: int, kind: str = "(]") -> int:

@@ -1,15 +1,16 @@
 """Independent brute-force references for differential testing.
 
-Nothing here shares an algorithm with the fast paths: the sumset reference
-is a plain double loop over elements, minimal_cover enumerates subsets, and
-the greedy reference recomputes every gain at every step.  They exist so
-the optimized implementations have something honest to be checked against.
+No reference shares an algorithm with the fast paths: the sumset reference
+is a plain double loop, minimal_cover enumerates subsets, and the greedy
+reference recomputes every gain at every step, so the optimized code has
+something honest to be checked against.  gap_detector is not a reference:
+it is the `gap` command, and it runs on natset.sumset.
 """
 
 from __future__ import annotations
 
 from .errors import CoverFailed, NoCover, TooLarge
-from .natset import NatSet, _range_mask, from_interval, sumset
+from .natset import NatSet, non_elements, sumset
 
 __all__ = [
     "SUBSET_SEARCH_CAP",
@@ -34,7 +35,7 @@ def minimal_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[NatSet, int]:
     if len(b_list) > SUBSET_SEARCH_CAP:
         raise TooLarge(f"|B| = {len(b_list)} exceeds the search cap {SUBSET_SEARCH_CAP}")
     end = m + n
-    target = _range_mask(m + 1, end)
+    target = ((1 << n) - 1) << (m + 1) if n > 0 else 0
     covers = []
     for b_el in b_list:
         mask = 0
@@ -92,13 +93,7 @@ def gap_detector(a: NatSet, lo: int, hi: int) -> NatSet:
     early costs a few shifts, not one per element of the complement
     (composites at 10^6: two shifts, not one for each of about 78k primes).
     """
-    if hi > a.horizon:
-        raise ValueError(f"hi={hi} beyond horizon {a.horizon}")
-    h = max(hi, 1)
-    outside = NatSet._from_mask(_range_mask(1, hi) & ~a._mask, h)
-    reach = sumset(a, outside, h)
-    window = from_interval(lo, hi, "(]", horizon=h)
-    return NatSet._from_mask(window._mask & ~reach._mask, h)
+    return non_elements(sumset(a, non_elements(a, 0, hi), max(hi, 1)), lo, hi)
 
 
 def sumset_reference(a: NatSet, b: NatSet, horizon: int | None = None) -> NatSet:

@@ -38,7 +38,8 @@ ALPHA_GRID = (
     Fraction(21, 20),
 )
 
-FAMILIES = ("explicit", "powers", "geometric", "fibonacci", "primes", "composites", "squares")
+#: Family names a spec string can start with; explicit data comes in as file:PATH.
+FAMILIES = ("powers", "geometric", "fibonacci", "primes", "composites", "squares")
 
 _GEOMETRIC_ITERATION_CAP = 100_000
 

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -33,3 +34,11 @@ def test_removed_members_stay_gone():
     fields = [f.name for f in dataclasses.fields(BlockCoverResult)]
     assert fields == ["candidate_set", "covered"]
     assert "horizon" not in inspect.signature(build_complement).parameters
+
+
+def test_bitmask_stays_inside_natset():
+    src = Path(importlib.import_module("addcomp").__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name != "natset.py":
+            # "_mask" also matches NatSet._from_mask and natset._range_mask
+            assert "_mask" not in path.read_text(), path.name

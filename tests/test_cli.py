@@ -171,6 +171,19 @@ def test_thin_explicit_mode_rejects_b_beyond_x2(tmp_path, capsys):
     assert "B subset of (x1, x2]" in capsys.readouterr().err
 
 
+def test_thin_explicit_mode_rejects_b_meeting_a(tmp_path, capsys):
+    b_file = tmp_path / "B.set"
+    out = tmp_path / "S.set"
+    write_set_file(b_file, range(5, 17))  # holds the powers 8 and 16
+    code = main(
+        ["thin", "powers:2", "--m", "8", "--n", "8", "--x1", "4", "--x2", "16",
+         "--b-file", str(b_file), "--horizon", "16", "--out", str(out)]
+    )
+    assert code == 2
+    assert "B n A = empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_thin_explicit_mode_requires_all_flags(capsys):
     assert main(["thin", "powers:2", "--horizon", "512", "--m", "16"]) == 2
     assert "--" in capsys.readouterr().err
@@ -243,6 +256,14 @@ def test_oracle_command(tmp_path, capsys):
     payload = json.loads(report_path.read_text())
     assert payload["optimal_size"] <= payload["greedy_size"]
     assert payload["greedy_matches_optimal"] == (payload["optimal_size"] == payload["greedy_size"])
+
+
+def test_oracle_rejects_horizon_below_x2(capsys):
+    # membership in (8, 16] is unknown at horizon 8, so 16 must not become a candidate
+    code = main(["oracle", "powers:2", "--horizon", "8", "--m", "8", "--n", "8",
+                 "--x1", "4", "--x2", "16"])
+    assert code == 2
+    assert "hi=16 beyond horizon 8" in capsys.readouterr().err
 
 
 def test_oracle_too_large_exits_2(tmp_path):

@@ -9,6 +9,7 @@ from addcomp import (
     density_profile,
     from_interval,
     generate,
+    non_elements,
     parse_spec,
     read_set_file,
     reflect,
@@ -60,6 +61,32 @@ def test_sumset_parity():
     got = sumset(evens, odds, 100)
     assert got.to_list() == list(range(3, 100, 2))
     assert all(x % 2 == 1 for x in got)
+
+
+def test_non_elements_examples():
+    a = NatSet([2, 4, 8], 10)
+    assert non_elements(a, 1, 8) == NatSet([3, 5, 6, 7], 8)
+    assert non_elements(a, -5, 4) == NatSet([1, 3], 4)  # lo <= 0 starts at 1
+    assert non_elements(a, 0, 10).to_list() == [1, 3, 5, 6, 7, 9, 10]
+    assert non_elements(a, 6, 6) == NatSet([], 6)
+    assert non_elements(a, 9, 3) == NatSet([], 3)
+    assert non_elements(a, 0, 0) == NatSet([], 1)
+
+
+def test_non_elements_rejects_hi_beyond_horizon():
+    with pytest.raises(ValueError, match="hi=11 beyond horizon 10"):
+        non_elements(NatSet([2], 10), 0, 11)
+
+
+def test_non_elements_matches_list_reference():
+    rng = random.Random(102)
+    for _ in range(200):
+        h = rng.randint(1, 300)
+        a = random_natset(rng, h, rng.uniform(0.0, 1.0))
+        lo, hi = rng.randint(-5, h + 2), rng.randint(-5, h)
+        want = [x for x in range(max(lo, 0) + 1, hi + 1) if x not in a]
+        got = non_elements(a, lo, hi)
+        assert got.to_list() == want and got.horizon == max(hi, 1)
 
 
 def test_reflect_examples():

@@ -13,10 +13,18 @@ from addcomp import (
     parse_spec,
     ratio_tail_holds,
 )
+from addcomp.sequences import FAMILIES
 
 
 def test_powers_of_two():
     assert generate(parse_spec("powers:2", 20)).to_list() == [1, 2, 4, 8, 16]
+
+
+def test_every_family_has_a_spec():
+    # each advertised family parses from some spec string (explicit data is file:PATH)
+    params = {"powers": "powers:2", "geometric": "geometric:c=1,alpha=3/2"}
+    for family in FAMILIES:
+        assert parse_spec(params.get(family, family), 64).family == family
 
 
 def test_composites_by_sieve():
