@@ -265,7 +265,7 @@ def greedy_thin(inst: GreedyInstance) -> tuple[NatSet, GreedyTrace]:
         bound_closed_form=closed_form,
         degenerate=depth < DEGENERATE_DEPTH,
     )
-    return NatSet(sorted(chosen), inst.b.horizon), trace
+    return NatSet(chosen, inst.b.horizon), trace
 
 
 def thin_block(a: NatSet, q: int) -> tuple[NatSet, GreedyTrace]:

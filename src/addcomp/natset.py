@@ -1,9 +1,10 @@
 """Exact sets of natural numbers truncated to a finite horizon.
 
-Elements live in [1, horizon] and membership is stored densely as one big
-integer (bit i set exactly when i is in the set), private to this module:
-other modules use only the operations below.  Every operation is exact on
-[1, horizon]; results that would land outside are clipped, and the
+Elements live in [1, horizon].  A NatSet's horizon is always stated by its
+caller, never inferred from its elements.  Membership is stored densely as
+one big integer (bit i set exactly when i is in the set), private to this
+module: other modules use only the operations below.  Every operation is
+exact on [1, horizon]; results that would land outside are clipped, and the
 clipping is part of each operation's contract.  The dense form makes the
 hot paths (sumset, interval counting) single big-integer shifts and masks;
 sumset also stops shifting once the clipped result can no longer grow.
@@ -78,14 +79,11 @@ class NatSet:
 
     __slots__ = ("_horizon", "_mask", "_count")
 
-    def __init__(self, elements: Iterable[int] = (), horizon: int | None = None):
-        elems = list(elements)
-        if horizon is None:
-            horizon = max(elems, default=1)
+    def __init__(self, elements: Iterable[int], horizon: int):
         if horizon < 1:
             raise ValueError(f"horizon must be at least 1, got {horizon}")
         buf = bytearray((horizon >> 3) + 1)
-        for e in elems:
+        for e in elements:
             if e < 1:
                 raise ValueError(f"elements must be positive naturals, got {e}")
             if e > horizon:
@@ -180,13 +178,6 @@ class NatSet:
         return h.hexdigest()
 
 
-def _pick_horizon(horizon: int | None, *sets: NatSet) -> int:
-    h = horizon if horizon is not None else max(s.horizon for s in sets)
-    if h < 1:
-        raise ValueError(f"horizon must be at least 1, got {h}")
-    return h
-
-
 def from_interval(lo: int, hi: int, kind: str = "(]", *, horizon: int) -> NatSet:
     """Integers in the requested interval, clipped to [1, horizon].
 
@@ -200,7 +191,7 @@ def from_interval(lo: int, hi: int, kind: str = "(]", *, horizon: int) -> NatSet
     return NatSet._from_mask(_range_mask(lo2, hi2), horizon)
 
 
-def sumset(a: NatSet, b: NatSet, horizon: int | None = None) -> NatSet:
+def sumset(a: NatSet, b: NatSet, horizon: int) -> NatSet:
     """{x + y : x in a, y in b}, clipped to [1, horizon].
 
     Exact for every n <= horizon: a representation n = x + y forces
@@ -215,22 +206,23 @@ def sumset(a: NatSet, b: NatSet, horizon: int | None = None) -> NatSet:
     check costs O(horizon), so it runs after shifts 1, 2, 4, 8, ... only;
     a sumset that never saturates pays for log2(shifts) checks.
     """
-    h = _pick_horizon(horizon, a, b)
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
     small, big = (a, b) if len(a) <= len(b) else (b, a)
     big_mask = big._mask
     low = big.min_element()
     acc = 0
     next_check = 1
     for done, e in enumerate(small, 1):
-        if e >= h:
+        if e >= horizon:
             break
         acc |= big_mask << e
         if done == next_check:
             next_check <<= 1
-            tail = _range_mask(e + 1 + low, h)
+            tail = _range_mask(e + 1 + low, horizon)
             if acc & tail == tail:
                 break
-    return NatSet._from_mask(acc & _range_mask(1, h), h)
+    return NatSet._from_mask(acc & _range_mask(1, horizon), horizon)
 
 
 def non_elements(a: NatSet, lo: int, hi: int) -> NatSet:
@@ -243,10 +235,9 @@ def non_elements(a: NatSet, lo: int, hi: int) -> NatSet:
     return NatSet._from_mask(_range_mask(max(lo + 1, 1), hi) & ~a._mask, max(hi, 1))
 
 
-def reflect(u: int, b: NatSet, horizon: int | None = None) -> NatSet:
+def reflect(u: int, b: NatSet, horizon: int) -> NatSet:
     """{u - y : y in b} intersected with [1, horizon]."""
-    h = _pick_horizon(horizon, b)
-    return NatSet((u - y for y in b if 1 <= u - y <= h), h)
+    return NatSet((u - y for y in b if 1 <= u - y <= horizon), horizon)
 
 
 def count_in(a: NatSet, lo: int, hi: int, kind: str = "(]") -> int:

@@ -9,7 +9,7 @@ it is the `gap` command, and it runs on natset.sumset.
 
 from __future__ import annotations
 
-from .errors import CoverFailed, NoCover, TooLarge
+from .errors import CoverFailed, NoCover, PreconditionViolated, TooLarge
 from .natset import NatSet, non_elements, sumset
 
 __all__ = [
@@ -30,12 +30,17 @@ def minimal_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[NatSet, int]:
     element list.  Depth-first search in ascending element order with a
     static-gain prune (sound because per-candidate coverage never grows), so
     the first cover found at the minimum size is the lexicographic winner.
+    Requires n >= 1 and A known on every target (horizon >= m + n).
     """
+    end = m + n
+    if n < 1:
+        raise PreconditionViolated("n >= 1", f"got n={n}")
+    if a.horizon < end:
+        raise PreconditionViolated("horizon >= m + n", f"horizon {a.horizon} < {end}")
     b_list = b.to_list()
     if len(b_list) > SUBSET_SEARCH_CAP:
         raise TooLarge(f"|B| = {len(b_list)} exceeds the search cap {SUBSET_SEARCH_CAP}")
-    end = m + n
-    target = ((1 << n) - 1) << (m + 1) if n > 0 else 0
+    target = ((1 << n) - 1) << (m + 1)
     covers = []
     for b_el in b_list:
         mask = 0
@@ -96,20 +101,19 @@ def gap_detector(a: NatSet, lo: int, hi: int) -> NatSet:
     return non_elements(sumset(a, non_elements(a, 0, hi), max(hi, 1)), lo, hi)
 
 
-def sumset_reference(a: NatSet, b: NatSet, horizon: int | None = None) -> NatSet:
+def sumset_reference(a: NatSet, b: NatSet, horizon: int) -> NatSet:
     """O(|A| * |B|) element-pair sumset; same contract as natset.sumset."""
-    h = horizon if horizon is not None else max(a.horizon, b.horizon)
     b_list = b.to_list()
     out = set()
     for x in a:
-        if x >= h:
+        if x >= horizon:
             break
         for y in b_list:
             s = x + y
-            if s > h:
+            if s > horizon:
                 break
             out.add(s)
-    return NatSet(sorted(out), h)
+    return NatSet(out, horizon)
 
 
 def _greedy_cover_reference(a: NatSet, b: NatSet, m: int, n: int):

@@ -267,10 +267,7 @@ def analyze_ratio(
     Raises RatioNotSatisfied when no ratio holds on any nonvacuous tail, and
     IndexOutOfRange when the sequence is too short for the derived r.
     """
-    if isinstance(seq, NatSet):
-        seq = seq.to_list()
-    else:
-        seq = list(seq)
+    seq = list(seq)
     for prev, cur in zip(seq, seq[1:]):
         if cur <= prev:
             raise ValueError(f"sequence must be strictly increasing ({cur} after {prev})")

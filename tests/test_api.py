@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from addcomp import BlockCoverResult, NatSet, build_complement
+from addcomp import BlockCoverResult, NatSet, build_complement, reflect, sumset, sumset_reference
+from addcomp import natset
 
 MODULES = ("addcomp", *(f"addcomp.{name}" for name in (
     "builder", "cli", "cover", "errors", "greedy", "natset", "oracle", "sequences")))
@@ -42,3 +43,13 @@ def test_bitmask_stays_inside_natset():
         if path.name != "natset.py":
             # "_mask" also matches NatSet._from_mask and natset._range_mask
             assert "_mask" not in path.read_text(), path.name
+
+
+@pytest.mark.parametrize("func", [NatSet.__init__, sumset, reflect, sumset_reference])
+def test_horizon_is_always_given(func):
+    # a NatSet's horizon comes from its caller, never from its elements
+    assert inspect.signature(func).parameters["horizon"].default is inspect.Parameter.empty
+
+
+def test_horizon_is_never_inferred():
+    assert not hasattr(natset, "_pick_horizon")

@@ -266,6 +266,23 @@ def test_oracle_rejects_horizon_below_x2(capsys):
     assert "hi=16 beyond horizon 8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_oracle_rejects_n_below_one(capsys, n):
+    code = main(["oracle", "powers:2", "--horizon", "16", "--m", "8", "--n", n,
+                 "--x1", "4", "--x2", "16"])
+    assert code == 2
+    assert "n >= 1" in capsys.readouterr().err
+
+
+def test_oracle_rejects_a_cut_off_below_the_targets(capsys):
+    # A's horizon defaults to --x2 = 6, so the square 9 in (8, 11] would be unknown
+    args = ["oracle", "squares", "--m", "8", "--n", "3", "--x1", "1", "--x2", "6"]
+    assert main(args) == 2
+    assert "horizon >= m + n: horizon 6 < 11" in capsys.readouterr().err
+    assert main(args + ["--horizon", "11"]) == 0
+    assert capsys.readouterr().out.startswith("optimal cover size 3: 2 5 6\n")
+
+
 def test_oracle_too_large_exits_2(tmp_path):
     assert main(["oracle", "powers:2", "--horizon", "256", "--m", "32", "--n", "16",
                  "--x1", "16", "--x2", "64"]) == 2

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -90,13 +91,13 @@ def test_non_elements_matches_list_reference():
 
 
 def test_reflect_examples():
-    assert reflect(10, NatSet([3, 5], 10)).to_list() == [5, 7]
-    assert reflect(3, NatSet([5], 10)).to_list() == []  # negative dropped
-    assert reflect(6, NatSet([1, 2, 3], 10)).to_list() == [3, 4, 5]
+    assert reflect(10, NatSet([3, 5], 10), 10).to_list() == [5, 7]
+    assert reflect(3, NatSet([5], 10), 10).to_list() == []  # negative dropped
+    assert reflect(6, NatSet([1, 2, 3], 10), 10).to_list() == [3, 4, 5]
 
 
 def test_count_in_examples():
-    a = NatSet([1, 2, 4, 8, 16])
+    a = NatSet([1, 2, 4, 8, 16], 16)
     assert count_in(a, 1, 4, "[]") == 3
     assert count_in(a, 4, 16, "(]") == 2
     assert count_in(a, 9, 3, "[]") == 0
@@ -140,6 +141,18 @@ def test_constructor_validation():
         NatSet([6], 5)
     with pytest.raises(ValueError):
         NatSet([1], 0)
+
+
+def test_constructor_walks_its_input_once():
+    # the elements stream straight into the bitmask; no list of them is built
+    tracemalloc.start()
+    try:
+        a = NatSet((i for i in range(1, 10**6 + 1) if i % 7), 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(a) == 10**6 - 10**6 // 7
+    assert peak < 4 * 2**20, peak
 
 
 def test_equality_needs_matching_horizon():

@@ -106,8 +106,8 @@ def test_gap_detector_soundness_pointwise():
 
 
 def test_sumset_reference_examples():
-    assert sumset_reference(NatSet([1, 2], 10), NatSet([3, 5], 10)).to_list() == [4, 5, 6, 7]
-    assert sumset_reference(NatSet([], 10), NatSet([3], 10)).to_list() == []
+    assert sumset_reference(NatSet([1, 2], 10), NatSet([3, 5], 10), 10).to_list() == [4, 5, 6, 7]
+    assert sumset_reference(NatSet([], 10), NatSet([3], 10), 10).to_list() == []
 
 
 def test_reference_agrees_with_fast_path():
