@@ -199,14 +199,13 @@ def build_complement(spec: SequenceSpec, alpha_hint=None) -> ComplementBuild:
     if not complement.isdisjoint(a):
         raise CoverFailed("complement intersects the base set; blocks are corrupt")
 
-    last = blocks[-1].exponent
-    beta = h.bit_length() - 1  # largest j with 2^j <= h ...
-    if (1 << beta) == h:
-        beta -= 1  # ... made strict: 2^beta < h when h is a power of two
-    hi = min(1 << (last + 2), 1 << beta)
+    # The last block ends at the largest power of two <= h; keep hi below h.
+    hi = 1 << (blocks[-1].exponent + 2)
+    if hi == h:
+        hi >>= 1
     coverage = verify_cover(a, complement, analysis.threshold, hi)
 
-    samples = [1 << j for j in range(analysis.gamma + 1, h.bit_length()) if (1 << j) <= h]
+    samples = [1 << j for j in range(analysis.gamma + 1, h.bit_length())]
     density = density_profile(complement, samples)
     return ComplementBuild(
         source=spec.describe(),

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
 from .builder import ComplementBuild, build_complement, geometric_points, verify_cover
 from .errors import AddcompError, CoverFailed, NoCover, PreconditionViolated
 from .greedy import GreedyInstance, GreedyTrace, greedy_cover, greedy_thin, thin_block
-from .natset import NatSet, density_profile, non_elements, read_set_file, write_set_file
+from .natset import density_profile, non_elements, read_set_file, write_set_file
 from .oracle import gap_detector, minimal_cover
 from .sequences import FAMILIES, generate, parse_spec
 
@@ -30,16 +29,6 @@ _MAX_LISTED = 20
 
 #: Exit code of each failure, first match wins; every one prints one "error:" line.
 _EXIT_CODES = {CoverFailed: 1, NoCover: 1, ValueError: 2, OSError: 2, AddcompError: 2}
-
-
-def _resolve_set(text: str, horizon: int | None) -> NatSet:
-    """Interpret an argument as a sequence spec or as a set file path."""
-    head = text.partition(":")[0].lower()
-    if head in FAMILIES or head in ("fib", "file"):
-        return generate(parse_spec(text, horizon))
-    if os.path.exists(text):
-        return read_set_file(text, horizon)
-    raise ValueError(f"{text!r} is neither a known sequence spec nor an existing file")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -152,7 +141,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_verify(args) -> int:
     lo, hi = _parse_range(args.range)
-    a = _resolve_set(args.a, max(hi, args.horizon or 1))
+    a = generate(parse_spec(args.a, max(hi, args.horizon or 1)))
     # Disjointness is checked up to A's horizon, coverage only up to hi.
     b = read_set_file(args.b_file, a.horizon)
     if not b.isdisjoint(a):
@@ -168,7 +157,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_thin(args) -> int:
     if args.q is not None:
-        a = _resolve_set(args.a, args.horizon or 4 * args.q)
+        a = generate(parse_spec(args.a, args.horizon or 4 * args.q))
         selected, trace = thin_block(a, args.q)
         context = {"source": args.a, "q": args.q, "m": 2 * args.q, "n": 2 * args.q,
                    "x1": args.q, "x2": 4 * args.q}
@@ -177,7 +166,7 @@ def _cmd_thin(args) -> int:
                   if getattr(args, name) is None]
         if needed:
             raise ValueError(f"explicit mode needs --{', --'.join(needed)} (or use --q)")
-        a = _resolve_set(args.a, args.horizon or args.x2)
+        a = generate(parse_spec(args.a, args.horizon or args.x2))
         b = read_set_file(args.b_file)
         inst = GreedyInstance(a=a, b=b, m=args.m, n=args.n, x1=args.x1, x2=args.x2)
         selected, trace = greedy_thin(inst)
@@ -196,7 +185,7 @@ def _cmd_thin(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    s = _resolve_set(args.set, args.horizon)
+    s = generate(parse_spec(args.set, args.horizon))
     points = geometric_points(s.horizon, args.samples)
     profile = density_profile(s, points)
     if args.format == "csv":
@@ -221,7 +210,7 @@ def _cmd_density(args) -> int:
 
 def _cmd_gap(args) -> int:
     lo, hi = _parse_range(args.range)
-    a = _resolve_set(args.a, max(hi, args.horizon or 1))
+    a = generate(parse_spec(args.a, max(hi, args.horizon or 1)))
     gaps = gap_detector(a, lo, hi)
     if not gaps:
         print(f"no gaps in ({lo}, {hi}]: every point splits as (element) + (non-element)")
@@ -236,9 +225,11 @@ def _cmd_gap(args) -> int:
 
 def _cmd_oracle(args) -> int:
     horizon = args.horizon or (args.x2 if args.x2 else None)
-    a = _resolve_set(args.a, horizon)
+    a = generate(parse_spec(args.a, horizon))
     if args.b_file:
         b = read_set_file(args.b_file)
+        if not b.isdisjoint(a):
+            raise PreconditionViolated("B n A = empty", f"{next(x for x in b if x in a)} is in both")
     elif args.x1 is not None and args.x2 is not None:
         b = non_elements(a, args.x1, args.x2)
     else:
@@ -278,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="build a verified complement from dyadic blocks")
-    p.add_argument("spec", help=f"sequence spec ({', '.join(FAMILIES)}, file:PATH)")
+    p.add_argument("spec", help=f"sequence spec ({', '.join(FAMILIES)}, [file:]PATH)")
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--alpha", default=None, help="growth-ratio hint, e.g. 1.5")
     p.add_argument("--out", default=None, help="write the complement as a set file")

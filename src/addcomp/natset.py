@@ -30,7 +30,6 @@ __all__ = [
     "reflect",
     "count_in",
     "density_profile",
-    "read_elements",
     "read_set_file",
     "write_set_file",
 ]
@@ -299,8 +298,12 @@ def density_profile(a: NatSet, sample_points: Sequence[int]) -> DensityProfile:
 # ---------------------------------------------------------------------------
 
 
-def read_elements(path) -> list[int]:
-    """Parse a set file into its (strictly increasing) element list."""
+def read_set_file(path, horizon: int | None = None) -> NatSet:
+    """Load a set file; elements beyond an explicit horizon are clipped.
+
+    With no horizon, the horizon is the file's last element, or 1 for a
+    file with no elements.
+    """
     out: list[int] = []
     prev = 0
     with open(path, "r", encoding="utf-8") as fh:
@@ -321,15 +324,9 @@ def read_elements(path) -> list[int]:
                 )
             out.append(value)
             prev = value
-    return out
-
-
-def read_set_file(path, horizon: int | None = None) -> NatSet:
-    """Load a set file; elements beyond an explicit horizon are clipped."""
-    elems = read_elements(path)
     if horizon is None:
-        horizon = elems[-1] if elems else 1
-    return NatSet((e for e in elems if e <= horizon), horizon)
+        horizon = prev or 1
+    return NatSet((e for e in out if e <= horizon), horizon)
 
 
 def write_set_file(path, values: NatSet | Iterable[int], comment: str | None = None) -> None:

@@ -30,9 +30,11 @@ def minimal_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[NatSet, int]:
     element list.  Depth-first search in ascending element order with a
     static-gain prune (sound because per-candidate coverage never grows), so
     the first cover found at the minimum size is the lexicographic winner.
-    Requires n >= 1 and A known on every target (horizon >= m + n).
+    Requires m >= 0, n >= 1 and A known on every target (horizon >= m + n).
     """
     end = m + n
+    if m < 0:
+        raise PreconditionViolated("m >= 0", f"got m={m}")
     if n < 1:
         raise PreconditionViolated("n >= 1", f"got n={n}")
     if a.horizon < end:

@@ -11,12 +11,13 @@ grid values like 1.05 behave as 21/20, not as their binary float neighbours.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import IndexOutOfRange, RatioNotSatisfied
-from .natset import NatSet, read_elements
+from .natset import NatSet, read_set_file
 
 __all__ = [
     "ALPHA_GRID",
@@ -38,7 +39,7 @@ ALPHA_GRID = (
     Fraction(21, 20),
 )
 
-#: Family names a spec string can start with; explicit data comes in as file:PATH.
+#: Family names a spec string can start with; explicit data comes in as [file:]PATH.
 FAMILIES = ("powers", "geometric", "fibonacci", "primes", "composites", "squares")
 
 _GEOMETRIC_ITERATION_CAP = 100_000
@@ -53,7 +54,7 @@ class SequenceSpec:
     k: int | None = None                     # powers: base
     c: Fraction | None = None                # geometric: scale
     alpha: Fraction | None = None            # geometric: ratio
-    elements: tuple[int, ...] | None = None  # explicit data
+    elements: NatSet | None = None           # explicit data
     source: str | None = None                # original spec string, if parsed
 
     def describe(self) -> str:
@@ -81,18 +82,23 @@ def parse_spec(text: str, horizon: int | None = None) -> SequenceSpec:
     """Parse a CLI spec string.
 
     Grammar: ``powers:K``, ``geometric:c=C,alpha=A``, ``primes``,
-    ``composites``, ``fib``, ``squares``, ``file:PATH``.
+    ``composites``, ``fib``, ``squares``, ``file:PATH``, or the bare ``PATH``
+    of an existing set file (a family name wins over a file of that name).
+    A file's horizon defaults as in read_set_file; a family needs one given.
     """
     head, _, rest = text.partition(":")
     head = head.strip().lower()
     if head == "fib":
         head = "fibonacci"
+    if head != "file" and head not in FAMILIES:
+        if not os.path.exists(text):
+            raise ValueError(f"{text!r} is neither a known sequence spec nor an existing file")
+        head, rest, text = "file", text, f"file:{text}"
     if head == "file":
         if not rest:
             raise ValueError("file: spec needs a path")
-        elems = tuple(read_elements(rest))
-        h = horizon if horizon is not None else (elems[-1] if elems else 1)
-        return SequenceSpec("explicit", h, elements=elems, source=text)
+        a = read_set_file(rest, horizon)
+        return SequenceSpec("explicit", a.horizon, elements=a, source=text)
     if horizon is None:
         raise ValueError(f"spec {text!r} needs an explicit horizon")
     if head == "powers":
@@ -116,11 +122,9 @@ def parse_spec(text: str, horizon: int | None = None) -> SequenceSpec:
             alpha=_coerce_fraction(params["alpha"], "ratio"),
             source=text,
         )
-    if head in ("fibonacci", "primes", "composites", "squares"):
-        if rest:
-            raise ValueError(f"family {head!r} takes no parameters")
-        return SequenceSpec(head, horizon, source=text)
-    raise ValueError(f"unknown sequence family {text!r}")
+    if rest:
+        raise ValueError(f"family {head!r} takes no parameters")
+    return SequenceSpec(head, horizon, source=text)
 
 
 def _prime_flags(limit: int) -> bytearray:
@@ -164,13 +168,9 @@ def generate(spec: SequenceSpec) -> NatSet:
         raise ValueError(f"horizon must be at least 1, got {h}")
     family = spec.family
     if family == "explicit":
-        elems = list(spec.elements or ())
-        for prev, cur in zip(elems, elems[1:]):
-            if cur <= prev:
-                raise ValueError(f"explicit sequence must be strictly increasing ({cur} after {prev})")
-        if elems and elems[0] < 1:
-            raise ValueError(f"explicit sequence must be positive, got {elems[0]}")
-        return NatSet((e for e in elems if e <= h), h)
+        if spec.elements is None:
+            raise ValueError("explicit family needs elements")
+        return spec.elements.with_horizon(h)
     if family == "powers":
         k = spec.k
         if k is None or k < 2:
@@ -274,25 +274,19 @@ def analyze_ratio(
     if len(seq) < 2:
         raise RatioNotSatisfied(f"need at least two elements, got {len(seq)}")
 
+    candidates = ALPHA_GRID
     if alpha_hint is not None:
-        alpha = _coerce_fraction(alpha_hint, "ratio bound")
-        if alpha <= 1:
-            raise ValueError(f"ratio bound must exceed 1, got {alpha}")
+        candidates = (_coerce_fraction(alpha_hint, "ratio bound"),)
+        if candidates[0] <= 1:
+            raise ValueError(f"ratio bound must exceed 1, got {candidates[0]}")
+    for alpha in candidates:
         n0 = _min_tail_start(seq, alpha)
-        if n0 is None:
-            raise RatioNotSatisfied(f"no tail satisfies a_(n+1) >= {alpha} * a_n")
+        if n0 is not None:
+            break
     else:
-        n0 = None
-        alpha = ALPHA_GRID[0]
-        for cand in ALPHA_GRID:
-            n0 = _min_tail_start(seq, cand)
-            if n0 is not None:
-                alpha = cand
-                break
-        if n0 is None:
-            raise RatioNotSatisfied(
-                "no grid ratio holds on any tail; the sequence grows too slowly"
-            )
+        if alpha_hint is not None:
+            raise RatioNotSatisfied(f"no tail satisfies a_(n+1) >= {alpha} * a_n")
+        raise RatioNotSatisfied("no grid ratio holds on any tail; the sequence grows too slowly")
 
     # Stop raising the power once the sequence is too short for r: as alpha
     # nears 1 the exact powers grow long and r runs into the thousands.

@@ -12,7 +12,7 @@ MODULES = ("addcomp", *(f"addcomp.{name}" for name in (
     "builder", "cli", "cover", "errors", "greedy", "natset", "oracle", "sequences")))
 
 #: Public names that were removed; none may come back through an export list.
-REMOVED = ("translate", "translate_count_upper_bound", "HypothesisViolated")
+REMOVED = ("translate", "translate_count_upper_bound", "HypothesisViolated", "read_elements")
 
 
 @pytest.mark.parametrize("module", MODULES)

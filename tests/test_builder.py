@@ -56,7 +56,7 @@ def test_build_each_block_covers_its_dyadic_range():
 
 def test_build_explicit_with_hint():
     elems = tuple(10**i for i in range(7))
-    spec = SequenceSpec("explicit", 10**6, elements=elems)
+    spec = SequenceSpec("explicit", 10**6, elements=NatSet(elems, 10**6))
     build = build_complement(spec, alpha_hint="10")
     assert build.analysis.gamma == 8
     assert build.threshold == 512

@@ -79,6 +79,23 @@ def test_build_bad_spec_exits_2():
     assert main(["build", "powersof:2", "--horizon", "1024"]) == 2
 
 
+def test_build_unknown_spec_names_both_readings(capsys):
+    assert main(["build", "nonsense", "--horizon", "10"]) == 2
+    assert "is neither a known sequence spec nor an existing file" in capsys.readouterr().err
+
+
+def test_build_reads_a_bare_path_as_file_spec(tmp_path, capsys):
+    a_file = tmp_path / "A.set"
+    write_set_file(a_file, NatSet([10**i for i in range(7)], 10**6))
+    outputs = []
+    for spec in (f"file:{a_file}", str(a_file)):
+        out, report = tmp_path / "B.set", tmp_path / "R.json"
+        assert main(["build", spec, "--horizon", "1000000", "--alpha", "10",
+                     "--out", str(out), "--report", str(report)]) == 0
+        outputs.append((capsys.readouterr().out, out.read_bytes(), report.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("flag", ["--out", "--report"])
 def test_build_unwritable_output_exits_2(tmp_path, capsys, flag):
     target = tmp_path / "missing-dir" / "file"
@@ -281,6 +298,25 @@ def test_oracle_rejects_a_cut_off_below_the_targets(capsys):
     assert "horizon >= m + n: horizon 6 < 11" in capsys.readouterr().err
     assert main(args + ["--horizon", "11"]) == 0
     assert capsys.readouterr().out.startswith("optimal cover size 3: 2 5 6\n")
+
+
+def test_oracle_rejects_b_meeting_a(tmp_path, capsys):
+    b_file = tmp_path / "B.set"
+    report = tmp_path / "o.json"
+    write_set_file(b_file, range(5, 17))  # holds the powers 8 and 16
+    code = main(["oracle", "powers:2", "--horizon", "32", "--m", "8", "--n", "8",
+                 "--b-file", str(b_file), "--report", str(report)])
+    assert code == 2
+    assert "B n A = empty" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("m", ["-1", "-5"])
+def test_oracle_rejects_negative_m(capsys, m):
+    code = main(["oracle", "powers:2", "--horizon", "32", "--m", m, "--n", "8",
+                 "--x1", "4", "--x2", "16"])
+    assert code == 2
+    assert "m >= 0" in capsys.readouterr().err
 
 
 def test_oracle_too_large_exits_2(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from addcomp import (
     ALPHA_GRID,
     IndexOutOfRange,
+    NatSet,
     RatioNotSatisfied,
     SequenceSpec,
     analyze_ratio,
@@ -31,14 +32,15 @@ def test_composites_by_sieve():
     assert generate(parse_spec("composites", 12)).to_list() == [4, 6, 8, 9, 10, 12]
 
 
-def test_explicit_rejects_disorder():
-    spec = SequenceSpec("explicit", 10, elements=(3, 1, 2))
+def test_explicit_rejects_disorder(tmp_path):
+    path = tmp_path / "a.set"
+    path.write_text("3\n1\n2\n")
     with pytest.raises(ValueError):
-        generate(spec)
+        parse_spec(f"file:{path}", 10)
 
 
 def test_explicit_clips_to_horizon():
-    spec = SequenceSpec("explicit", 10, elements=(1, 5, 50))
+    spec = SequenceSpec("explicit", 10, elements=NatSet([1, 5, 50], 50))
     assert generate(spec).to_list() == [1, 5]
 
 
@@ -77,6 +79,11 @@ def test_family_parameter_validation():
         parse_spec("nonsense", 10)
     with pytest.raises(ValueError):
         parse_spec("geometric:c=3", 10)
+
+
+def test_explicit_needs_elements():
+    with pytest.raises(ValueError, match="explicit family needs elements"):
+        generate(SequenceSpec("explicit", 10))
 
 
 def test_parse_file_spec(tmp_path):
@@ -139,6 +146,13 @@ def test_exact_grid_arithmetic_at_the_margin():
     seq = [20, 21, 23, 25, 27, 29]
     assert _min_tail_start(seq, Fraction("1.05")) == 1
     assert _min_tail_start(seq, Fraction(1.05)) == 2
+
+
+def test_ratio_failure_texts():
+    with pytest.raises(RatioNotSatisfied, match=r"no tail satisfies a_\(n\+1\) >= 2 \* a_n"):
+        analyze_ratio([1, 2, 3, 4], alpha_hint="2")
+    with pytest.raises(RatioNotSatisfied, match="no grid ratio holds on any tail"):
+        analyze_ratio([100, 101, 102, 103])
 
 
 def test_analyze_rejects_short_or_invalid():
