@@ -4,8 +4,10 @@ Given A, a candidate set B inside (x1, x2], and a target window (m, m+n]
 already covered by the translates A + i over i in B, greedy_thin() selects
 a subset S that still covers the window, always taking the candidate whose
 translate covers the most still-uncovered targets (ties broken by smallest
-element).  The trace records the chosen order, the per-step marginal gains,
-and the derived size bounds.
+element).  greedy_cover keeps the gains in lazy buckets, one per gain value:
+a stale candidate only moves to a strictly lower bucket, so the top bucket
+takes no insertions and one sorted walk of it gives that order.  The trace
+records the chosen order, the per-step marginal gains, and the size bounds.
 
 The quantity controlling the bound is the depth
     depth = |A n [1, m - x1)| - (x2 - x1 - |B|),
@@ -30,7 +32,6 @@ assembled complement from scratch.
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_right
 from collections import Counter
@@ -131,20 +132,22 @@ def _relevant_elements(a: NatSet, m: int, n: int) -> list[int]:
     return [x for x in a.to_list() if x <= m + n - 1]
 
 
-def _uncovered_flags(n: int) -> bytearray:
-    """flags[t - m] == 1 for every target t in (m, m+n]; index 0 is unused."""
-    return bytearray(1) + b"\x01" * n
+def _uncovered_flags(m: int, n: int) -> bytearray:
+    """flags[t] == 1 exactly for the targets t in (m, m+n]; indices run over [0, m+n]."""
+    return bytearray(m + 1) + b"\x01" * n
+
+
+def _hits(a_list: list[int], b_el: int, m: int, end: int) -> list[int]:
+    """The x in a_list (ascending) whose translate x + b_el lands in (m, end]."""
+    return a_list[bisect_right(a_list, m - b_el):bisect_right(a_list, end - b_el)]
 
 
 def _clear_covered(flags: bytearray, a_list: list[int], b_el: int, m: int, end: int) -> int:
     """Clear the targets in (m, end] that A + b_el covers; returns how many were set."""
     g = 0
-    for x in a_list:
-        t = x + b_el
-        if t > end:
-            break
-        if t > m and flags[t - m]:
-            flags[t - m] = 0
+    for x in _hits(a_list, b_el, m, end):
+        if flags[x + b_el]:
+            flags[x + b_el] = 0
             g += 1
     return g
 
@@ -154,50 +157,46 @@ def greedy_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[list[int], list[
 
     Requires only that the translates of B cover (m, m+n].  Returns the
     chosen candidates in selection order together with their marginal gains.
-    Gains are maintained lazily in a max-heap keyed by (-gain, element):
-    marginal gains only ever shrink, so a popped entry whose recomputed gain
-    still beats the heap top is the true argmax, and the element tie-break
-    is the key's second component.  The result is identical to recomputing
-    every gain at every step.
+    buckets[g] holds the candidates whose last computed gain is g.  The
+    highest non-empty bucket is detached, sorted once and walked upwards,
+    recomputing each gain: a candidate still at g is picked, any other moves
+    to the bucket of its new gain.  Gains only shrink, so that move is
+    strictly downwards and the walked bucket takes no insertions: the walk
+    visits candidates by gain descending, then element ascending, the order
+    of recomputing every gain at every step.
     """
     a_list = _relevant_elements(a, m, n)
     end = m + n
-    # The initial gain of b_el counts the x in a_list with m < x + b_el <= end.
-    heap = []
+    # Every flag is set at first, so the initial gain is the number of hits.
+    buckets: list[list[int]] = [[] for _ in range(len(a_list) + 1)]
     for b_el in b:
-        g = bisect_right(a_list, end - b_el) - bisect_right(a_list, m - b_el)
-        if g > 0:
-            heap.append((-g, b_el))
-    heapq.heapify(heap)
+        buckets[len(_hits(a_list, b_el, m, end))].append(b_el)
 
-    flags = _uncovered_flags(n)
+    flags = _uncovered_flags(m, n)
     uncovered = n
     chosen: list[int] = []
     gains: list[int] = []
-    heappop, heapreplace = heapq.heappop, heapq.heapreplace
+    g = len(a_list)
     while uncovered:
-        if not heap:
+        while g and not buckets[g]:
+            g -= 1
+        if not g:  # buckets[0] holds candidates that cover nothing; it is never walked
             raise CoverFailed("candidates exhausted with targets still uncovered")
-        # Peek: if the top's key is still its true gain, it is the argmax with
-        # the right tie-break; otherwise sink it to its updated key in place.
-        negg, b_el = heap[0]
-        g = 0
-        for x in a_list:
-            t = x + b_el
-            if t > end:
+        current, buckets[g] = buckets[g], []
+        current.sort()
+        for b_el in current:
+            new_g = 0
+            for x in _hits(a_list, b_el, m, end):
+                if flags[x + b_el]:
+                    new_g += 1
+            if new_g != g:
+                buckets[new_g].append(b_el)
+                continue
+            uncovered -= _clear_covered(flags, a_list, b_el, m, end)
+            chosen.append(b_el)
+            gains.append(g)
+            if not uncovered:
                 break
-            if t > m and flags[t - m]:
-                g += 1
-        if g != -negg:
-            if g == 0:
-                heappop(heap)
-            else:
-                heapreplace(heap, (-g, b_el))
-            continue
-        heappop(heap)
-        uncovered -= _clear_covered(flags, a_list, b_el, m, end)
-        chosen.append(b_el)
-        gains.append(g)
     return chosen, gains
 
 
@@ -248,7 +247,7 @@ def greedy_thin(inst: GreedyInstance) -> tuple[NatSet, GreedyTrace]:
     if depth < DEGENERATE_DEPTH:
         chosen = inst.b.to_list()
         a_list = _relevant_elements(inst.a, inst.m, inst.n)
-        flags = _uncovered_flags(inst.n)
+        flags = _uncovered_flags(inst.m, inst.n)
         gains = [_clear_covered(flags, a_list, b_el, inst.m, inst.m + inst.n) for b_el in chosen]
     else:
         chosen, gains = greedy_cover(inst.a, inst.b, inst.m, inst.n)

@@ -322,11 +322,12 @@ def read_set_file(path, horizon: int | None = None) -> NatSet:
                     f"{path}:{line_no}: elements must be strictly increasing "
                     f"({value} after {prev})"
                 )
-            out.append(value)
+            if horizon is None or value <= horizon:
+                out.append(value)
             prev = value
     if horizon is None:
         horizon = prev or 1
-    return NatSet((e for e in out if e <= horizon), horizon)
+    return NatSet(out, horizon)
 
 
 def write_set_file(path, values: NatSet | Iterable[int], comment: str | None = None) -> None:

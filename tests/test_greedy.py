@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,9 @@ from addcomp import (
     GreedyInstance,
     NatSet,
     PreconditionViolated,
+    analyze_ratio,
+    block_cover,
+    build_complement,
     choose_gain_cutoff,
     closed_form_bound,
     count_in,
@@ -46,6 +50,43 @@ def test_selection_matches_full_recompute():
             inst.a, inst.b, inst.m, inst.n
         )
     assert checked == 200
+
+
+@pytest.mark.parametrize("spec", ["powers:2", "powers:3", "fib"])
+def test_selection_matches_full_recompute_on_blocks(spec):
+    # real block candidate sets have long runs of tied gains, unlike the random instances
+    a = generate(parse_spec(spec, 1 << 11))
+    checked = 0
+    for i in range(analyze_ratio(a.to_list()).gamma, 10):
+        q = 1 << i
+        b = block_cover(a, q, 2 * q, 4 * q).candidate_set
+        assert greedy_cover(a, b, 2 * q, 2 * q) == _greedy_cover_reference(a, b, 2 * q, 2 * q)
+        checked += 1
+    assert checked >= 2
+
+
+def test_selection_memory_on_a_block():
+    q = 1 << 12
+    a = generate(parse_spec("powers:2", 4 * q))
+    b = block_cover(a, q, 2 * q, 4 * q).candidate_set
+    tracemalloc.start()
+    try:
+        chosen, _ = greedy_cover(a, b, 2 * q, 2 * q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(chosen) == 1127
+    assert peak < 2**20, peak
+
+
+def test_build_traces_are_monotone_and_exact():
+    build = build_complement(parse_spec("powers:2", 1 << 16))
+    thinned = [blk for blk in build.blocks if not blk.trace.degenerate]
+    assert len(thinned) == 9
+    for blk in thinned:
+        gains = blk.trace.gains
+        assert all(gains[i] >= gains[i + 1] for i in range(len(gains) - 1)), blk.base
+        assert sum(gains) == 2 * blk.base
 
 
 def test_singleton_candidate_is_forced():

@@ -302,3 +302,24 @@ def test_set_file_clips_to_horizon(tmp_path):
     path = tmp_path / "s.set"
     path.write_text("1\n5\n50\n")
     assert read_set_file(path, horizon=10).to_list() == [1, 5]
+
+
+def test_set_file_keeps_nothing_above_horizon(tmp_path):
+    # values above an explicit horizon are checked but never stored
+    path = tmp_path / "big.set"
+    path.write_text("".join(f"{i}\n" for i in range(1, 10**5 + 1)))
+    tracemalloc.start()
+    try:
+        loaded = read_set_file(path, horizon=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == NatSet(range(1, 101), 100)
+    assert peak < 2**19, peak
+
+
+def test_set_file_checks_order_above_horizon(tmp_path):
+    path = tmp_path / "bad.set"
+    path.write_text("1\n200\n150\n")
+    with pytest.raises(ValueError, match=r":3: elements must be strictly increasing \(150 after 200\)"):
+        read_set_file(path, horizon=100)
