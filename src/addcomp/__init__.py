@@ -48,6 +48,7 @@ from .natset import (
     count_in,
     density_profile,
     from_interval,
+    member_lanes,
     non_elements,
     read_set_file,
     reflect,
@@ -76,6 +77,7 @@ __all__ = [
     "from_interval",
     "sumset",
     "non_elements",
+    "member_lanes",
     "reflect",
     "count_in",
     "density_profile",

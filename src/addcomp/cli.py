@@ -19,7 +19,14 @@ from . import __version__
 from .builder import ComplementBuild, build_complement, geometric_points, verify_cover
 from .errors import AddcompError, CoverFailed, NoCover, PreconditionViolated
 from .greedy import GreedyInstance, GreedyTrace, greedy_cover, greedy_thin, thin_block
-from .natset import density_profile, non_elements, read_set_file, write_set_file
+from .natset import (
+    NatSet,
+    density_profile,
+    from_interval,
+    non_elements,
+    read_set_file,
+    write_set_file,
+)
 from .oracle import gap_detector, minimal_cover
 from .sequences import FAMILIES, generate, parse_spec
 
@@ -58,6 +65,12 @@ def _print_points(points, label: str = "missing") -> None:
     shown = list(points[:_MAX_LISTED])
     print(f"{label} {len(points)} point(s): {' '.join(map(str, shown))}"
           + (f" ... and {len(points) - len(shown)} more" if len(points) > len(shown) else ""))
+
+
+def _require_disjoint(a: NatSet, b: NatSet) -> None:
+    """Raise PreconditionViolated naming the smallest element B shares with A, if any."""
+    if not b.isdisjoint(a):
+        raise PreconditionViolated("B n A = empty", f"{next(x for x in b if x in a)} is in both")
 
 
 def _build_report(build: ComplementBuild) -> dict:
@@ -167,11 +180,13 @@ def _cmd_thin(args) -> int:
         if needed:
             raise ValueError(f"explicit mode needs --{', --'.join(needed)} (or use --q)")
         a = generate(parse_spec(args.a, args.horizon or args.x2))
+        if a.horizon < args.x2:  # membership in A is unknown on part of (x1, x2]
+            raise PreconditionViolated("horizon >= x2", f"horizon {a.horizon} < {args.x2}")
         b = read_set_file(args.b_file)
+        if b.issubset(from_interval(args.x1, args.x2, horizon=b.horizon)):  # else validate names it
+            _require_disjoint(a, b)
         inst = GreedyInstance(a=a, b=b, m=args.m, n=args.n, x1=args.x1, x2=args.x2)
         selected, trace = greedy_thin(inst)
-        if not b.issubset(non_elements(a, args.x1, args.x2)):
-            raise PreconditionViolated("B n A = empty", f"{next(x for x in b if x in a)} is in both")
         context = {"source": args.a, "m": args.m, "n": args.n,
                    "x1": args.x1, "x2": args.x2}
     if args.out:
@@ -228,8 +243,7 @@ def _cmd_oracle(args) -> int:
     a = generate(parse_spec(args.a, horizon))
     if args.b_file:
         b = read_set_file(args.b_file)
-        if not b.isdisjoint(a):
-            raise PreconditionViolated("B n A = empty", f"{next(x for x in b if x in a)} is in both")
+        _require_disjoint(a, b)
     elif args.x1 is not None and args.x2 is not None:
         b = non_elements(a, args.x1, args.x2)
     else:

@@ -4,10 +4,11 @@ Given A, a candidate set B inside (x1, x2], and a target window (m, m+n]
 already covered by the translates A + i over i in B, greedy_thin() selects
 a subset S that still covers the window, always taking the candidate whose
 translate covers the most still-uncovered targets (ties broken by smallest
-element).  greedy_cover keeps the gains in lazy buckets, one per gain value:
-a stale candidate only moves to a strictly lower bucket, so the top bucket
-takes no insertions and one sorted walk of it gives that order.  The trace
-records the chosen order, the per-step marginal gains, and the size bounds.
+element).  greedy_cover computes every candidate's gain at once, one lane
+per candidate inside a big integer, and re-checks only the candidates at
+the top gain; gains only shrink, so that visits candidates in exactly this
+order.  The trace records the chosen order, the per-step marginal gains,
+and the size bounds.
 
 The quantity controlling the bound is the depth
     depth = |A n [1, m - x1)| - (x2 - x1 - |B|),
@@ -41,7 +42,7 @@ from typing import Mapping
 
 from .cover import block_cover
 from .errors import CoverFailed, PreconditionViolated
-from .natset import NatSet, count_in, from_interval
+from .natset import NatSet, count_in, from_interval, member_lanes
 
 __all__ = [
     "DEGENERATE_DEPTH",
@@ -157,46 +158,66 @@ def greedy_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[list[int], list[
 
     Requires only that the translates of B cover (m, m+n].  Returns the
     chosen candidates in selection order together with their marginal gains.
-    buckets[g] holds the candidates whose last computed gain is g.  The
-    highest non-empty bucket is detached, sorted once and walked upwards,
-    recomputing each gain: a candidate still at g is picked, any other moves
-    to the bucket of its new gain.  Gains only shrink, so that move is
-    strictly downwards and the walked bucket takes no insertions: the walk
-    visits candidates by gain descending, then element ascending, the order
-    of recomputing every gain at every step.
+
+    Gains live in lanes of `width` bytes, the fewest of 1, 2, 4 or 8 that
+    hold len(a_list), the largest possible gain, so no lane carries into the
+    next (SIMD within a register).  Lane i of F is the uncovered flag of
+    target lo + i, lo being B's smallest element; lane i of the sum of
+    F >> (8 * width * x) over the relevant x in A is then the gain of
+    candidate lo + i, and member_lanes zeroes the lanes outside B.
+    Candidates above m + n gain nothing and get no lane.
+
+    g steps down from len(a_list).  At each g the lanes equal to g are
+    walked upwards and each candidate's gain is recomputed: one still at g
+    is picked, any other is skipped.  The lanes are recomputed after a walk
+    that picked.  This picks exactly what recomputing every gain at every
+    step does, by gain descending, then element ascending: gains only
+    shrink, so a candidate below g when the lanes were computed never
+    reaches g again; every candidate still at g lies ahead in the walk, so
+    the next one found still at g is the smallest; and once the walk ends
+    none is at g, so the top gain is below g.
     """
     a_list = _relevant_elements(a, m, n)
     end = m + n
-    # Every flag is set at first, so the initial gain is the number of hits.
-    buckets: list[list[int]] = [[] for _ in range(len(a_list) + 1)]
-    for b_el in b:
-        buckets[len(_hits(a_list, b_el, m, end))].append(b_el)
+    width = next(w for w in (1, 2, 4, 8) if len(a_list) < 1 << 8 * w)
+    # With no candidate in [1, m+n], one lane for m+n itself, which gains nothing.
+    lo = min(b.min_element() or end, end)
+    count = end - lo + 1
+    members = member_lanes(b, lo, end, width)
+    # Lanes are little-endian bytes throughout, whatever the host's byte order.
+    spread = bytearray(count * width)
 
     flags = _uncovered_flags(m, n)
     uncovered = n
     chosen: list[int] = []
     gains: list[int] = []
     g = len(a_list)
+    stale = True
     while uncovered:
-        while g and not buckets[g]:
-            g -= 1
-        if not g:  # buckets[0] holds candidates that cover nothing; it is never walked
+        if not g:
             raise CoverFailed("candidates exhausted with targets still uncovered")
-        current, buckets[g] = buckets[g], []
-        current.sort()
-        for b_el in current:
-            new_g = 0
-            for x in _hits(a_list, b_el, m, end):
-                if flags[x + b_el]:
-                    new_g += 1
-            if new_g != g:
-                buckets[new_g].append(b_el)
-                continue
-            uncovered -= _clear_covered(flags, a_list, b_el, m, end)
-            chosen.append(b_el)
-            gains.append(g)
-            if not uncovered:
-                break
+        if stale:
+            spread[::width] = flags[lo:]
+            f = int.from_bytes(spread, "little")
+            lane_gains = sum(f >> 8 * width * x for x in a_list) & members
+            lanes = lane_gains.to_bytes(count * width, "little")
+            stale = False
+        lane = g.to_bytes(width, "little")
+        pos = lanes.find(lane)
+        while pos >= 0 and uncovered:
+            if not pos % width:  # a lane, not a match across two lanes
+                b_el = lo + pos // width
+                new_g = 0
+                for x in _hits(a_list, b_el, m, end):
+                    if flags[x + b_el]:
+                        new_g += 1
+                if new_g == g:
+                    uncovered -= _clear_covered(flags, a_list, b_el, m, end)
+                    chosen.append(b_el)
+                    gains.append(g)
+                    stale = True
+            pos = lanes.find(lane, pos + 1)
+        g -= 1
     return chosen, gains
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "from_interval",
     "sumset",
     "non_elements",
+    "member_lanes",
     "reflect",
     "count_in",
     "density_profile",
@@ -39,6 +40,9 @@ INTERVAL_KINDS = ("()", "(]", "[)", "[]")
 
 # For each byte value, the offsets of its set bits; used to enumerate members.
 _BYTE_OFFSETS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+
+# For each byte value, eight one-byte lanes: 0xff where the bit is set, else 0.
+_BYTE_LANES = tuple(bytes(255 * (b >> i & 1) for i in range(8)) for b in range(256))
 
 
 def _closed_bounds(lo: int, hi: int, kind: str) -> tuple[int, int]:
@@ -232,6 +236,26 @@ def non_elements(a: NatSet, lo: int, hi: int) -> NatSet:
     if hi > a._horizon:
         raise ValueError(f"hi={hi} beyond horizon {a._horizon}")
     return NatSet._from_mask(_range_mask(max(lo + 1, 1), hi) & ~a._mask, max(hi, 1))
+
+
+def member_lanes(a: NatSet, lo: int, hi: int, width: int) -> int:
+    """An integer with one lane of `width` bytes per point of [lo, hi].
+
+    Lane i (bits 8*width*i and up) is all ones when lo + i is in A and zero
+    otherwise, so ANDing it with counters kept in the same lanes keeps the
+    counters of A's points.  An empty range gives 0; lo may not be negative.
+    Built from A's bitmask a byte (eight points) at a time through a table.
+    """
+    if lo > hi:
+        return 0
+    count = hi - lo + 1
+    bits = (a._mask >> lo) & ((1 << count) - 1)
+    ones = b"".join(map(_BYTE_LANES.__getitem__, bits.to_bytes((count + 7) >> 3, "little")))
+    ones = ones[:count]
+    lanes = bytearray(count * width)
+    for k in range(width):  # every byte of lane i repeats the one-byte lane i
+        lanes[k::width] = ones
+    return int.from_bytes(lanes, "little")
 
 
 def reflect(u: int, b: NatSet, horizon: int) -> NatSet:

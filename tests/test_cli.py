@@ -201,6 +201,32 @@ def test_thin_explicit_mode_rejects_b_meeting_a(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_thin_explicit_mode_checks_b_meeting_a_before_depth(tmp_path, capsys):
+    # B = {8, 9} meets A at 8, and its depth 2 - (16 - 4 - 2) is negative too
+    b_file = tmp_path / "B.set"
+    write_set_file(b_file, [8, 9])
+    code = main(
+        ["thin", "powers:2", "--m", "8", "--n", "8", "--x1", "4", "--x2", "16",
+         "--b-file", str(b_file), "--horizon", "16"]
+    )
+    assert code == 2
+    assert "B n A = empty: 8 is in both" in capsys.readouterr().err
+
+
+def test_thin_explicit_mode_rejects_horizon_below_x2(tmp_path, capsys):
+    # membership in A is unknown on (12, 16], so B's 13 cannot be checked
+    a_file = tmp_path / "A.set"
+    b_file = tmp_path / "B.set"
+    write_set_file(a_file, [1, 2, 3])
+    write_set_file(b_file, range(5, 17))
+    code = main(
+        ["thin", f"file:{a_file}", "--m", "8", "--n", "8", "--x1", "4", "--x2", "16",
+         "--b-file", str(b_file), "--horizon", "12"]
+    )
+    assert code == 2
+    assert "horizon >= x2: horizon 12 < 16" in capsys.readouterr().err
+
+
 def test_thin_explicit_mode_requires_all_flags(capsys):
     assert main(["thin", "powers:2", "--horizon", "512", "--m", "16"]) == 2
     assert "--" in capsys.readouterr().err

@@ -65,6 +65,35 @@ def test_selection_matches_full_recompute_on_blocks(spec):
     assert checked >= 2
 
 
+def _wide_instance(rng, relevant, end, x2):
+    """(A, B, m, n) with exactly `relevant` elements of A below m + n = end.
+
+    B is every non-element of A in (1, x2], so it reaches above m + n when
+    x2 > end; A is dense, so B's translates cover the window.
+    """
+    low = rng.sample(range(1, end), relevant)
+    high = [x for x in range(end, x2 + 1) if rng.random() < 0.5]
+    a = NatSet(sorted(low + high), x2)
+    m = rng.randint(end // 4, end // 2)
+    b = non_elements(a, 1, x2)
+    window = from_interval(m, end, "(]", horizon=end)
+    assert window.issubset(sumset(a, b, end))
+    return a, b, m, end - m
+
+
+def test_selection_matches_full_recompute_on_wide_lanes():
+    # more than 255 relevant elements of A need two-byte lanes
+    rng = random.Random(55)
+    instances = [_wide_instance(rng, 255, 400, 520), _wide_instance(rng, 256, 400, 520)]
+    for _ in range(4):
+        end = rng.randint(900, 1300)
+        instances.append(_wide_instance(rng, rng.randint(end // 2, 3 * end // 4), end, end + 100))
+    for a, b, m, n in instances:
+        assert greedy_cover(a, b, m, n) == _greedy_cover_reference(a, b, m, n)
+    assert [count_in(a, 1, m + n, "[)") for a, _, m, n in instances[:2]] == [255, 256]
+    assert all(count_in(a, 1, m + n, "[)") > 256 for a, _, m, n in instances[2:])
+
+
 def test_selection_memory_on_a_block():
     q = 1 << 12
     a = generate(parse_spec("powers:2", 4 * q))
@@ -100,8 +129,13 @@ def test_singleton_candidate_is_forced():
 def test_uncoverable_window_is_detected():
     from addcomp import CoverFailed
 
-    with pytest.raises(CoverFailed):
-        greedy_cover(NatSet([1, 2, 3], 20), NatSet([6], 20), 8, 4)
+    a = NatSet([1, 2, 3], 20)
+    # too few candidates, none at all, and only candidates above m + n = 12
+    for b in (NatSet([6], 20), NatSet([], 20), NatSet([13, 15, 20], 20)):
+        with pytest.raises(CoverFailed, match="candidates exhausted with targets still uncovered"):
+            greedy_cover(a, b, 8, 4)
+    # with no targets there is nothing to exhaust
+    assert greedy_cover(a, NatSet([], 20), 8, 0) == ([], [])
 
 
 def test_precondition_clauses_are_named():

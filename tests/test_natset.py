@@ -10,6 +10,7 @@ from addcomp import (
     density_profile,
     from_interval,
     generate,
+    member_lanes,
     non_elements,
     parse_spec,
     read_set_file,
@@ -88,6 +89,18 @@ def test_non_elements_matches_list_reference():
         want = [x for x in range(max(lo, 0) + 1, hi + 1) if x not in a]
         got = non_elements(a, lo, hi)
         assert got.to_list() == want and got.horizon == max(hi, 1)
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8])
+def test_member_lanes_match_element_by_element(width):
+    a = random_natset(random.Random(103), 200, 0.4)
+    ones = (1 << 8 * width) - 1
+    # byte-aligned and off by one, empty, a single point, past the horizon, all of it
+    for lo, hi in [(8, 64), (9, 64), (8, 63), (17, 16), (50, 50), (150, 260), (0, 200)]:
+        want = sum(ones << 8 * width * (e - lo) for e in a if lo <= e <= hi)
+        assert member_lanes(a, lo, hi, width) == want, (lo, hi)
+    assert member_lanes(a, 40, 39, width) == 0
+    assert member_lanes(NatSet([], 10), 1, 10, width) == 0
 
 
 def test_reflect_examples():
