@@ -35,7 +35,6 @@ __all__ = [
     "build_complement",
     "verify_cover",
     "density_zero_diagnostic",
-    "geometric_points",
 ]
 
 #: Families whose tail bound holds beyond the horizon: powers, as a_{n+1} = k * a_n exactly.

@@ -70,7 +70,8 @@ def _print_points(points, label: str = "missing") -> None:
 def _require_disjoint(a: NatSet, b: NatSet) -> None:
     """Raise PreconditionViolated naming the smallest element B shares with A, if any."""
     if not b.isdisjoint(a):
-        raise PreconditionViolated("B n A = empty", f"{next(x for x in b if x in a)} is in both")
+        shared = (b.with_horizon(a.horizon) & a).min_element()
+        raise PreconditionViolated("B n A = empty", f"{shared} is in both")
 
 
 def _build_report(build: ComplementBuild) -> dict:

@@ -42,10 +42,9 @@ from typing import Mapping
 
 from .cover import block_cover
 from .errors import CoverFailed, PreconditionViolated
-from .natset import NatSet, count_in, from_interval, member_lanes
+from .natset import NatSet, count_in, from_interval, point_flags
 
 __all__ = [
-    "DEGENERATE_DEPTH",
     "GreedyInstance",
     "GreedyTrace",
     "greedy_cover",
@@ -164,7 +163,8 @@ def greedy_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[list[int], list[
     next (SIMD within a register).  Lane i of F is the uncovered flag of
     target lo + i, lo being B's smallest element; lane i of the sum of
     F >> (8 * width * x) over the relevant x in A is then the gain of
-    candidate lo + i, and member_lanes zeroes the lanes outside B.
+    candidate lo + i.  B's point_flags, spread the same way and multiplied
+    by 2^(8 * width) - 1, zero the lanes outside B.
     Candidates above m + n gain nothing and get no lane.
 
     g steps down from len(a_list).  At each g the lanes equal to g are
@@ -183,9 +183,11 @@ def greedy_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[list[int], list[
     # With no candidate in [1, m+n], one lane for m+n itself, which gains nothing.
     lo = min(b.min_element() or end, end)
     count = end - lo + 1
-    members = member_lanes(b, lo, end, width)
     # Lanes are little-endian bytes throughout, whatever the host's byte order.
     spread = bytearray(count * width)
+    # Lanes hold 0 or 1, so the product fills each lane of B with ones and carries nothing.
+    spread[::width] = point_flags(b, lo, end)
+    members = int.from_bytes(spread, "little") * ((1 << 8 * width) - 1)
 
     flags = _uncovered_flags(m, n)
     uncovered = n

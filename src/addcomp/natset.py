@@ -20,14 +20,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
-    "INTERVAL_KINDS",
     "NatSet",
     "DensitySample",
     "DensityProfile",
     "from_interval",
     "sumset",
     "non_elements",
-    "member_lanes",
+    "point_flags",
     "reflect",
     "count_in",
     "density_profile",
@@ -41,8 +40,8 @@ INTERVAL_KINDS = ("()", "(]", "[)", "[]")
 # For each byte value, the offsets of its set bits; used to enumerate members.
 _BYTE_OFFSETS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
-# For each byte value, eight one-byte lanes: 0xff where the bit is set, else 0.
-_BYTE_LANES = tuple(bytes(255 * (b >> i & 1) for i in range(8)) for b in range(256))
+# Maps the digits of a binary string to the bytes 0 and 1.
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _closed_bounds(lo: int, hi: int, kind: str) -> tuple[int, int]:
@@ -238,24 +237,17 @@ def non_elements(a: NatSet, lo: int, hi: int) -> NatSet:
     return NatSet._from_mask(_range_mask(max(lo + 1, 1), hi) & ~a._mask, max(hi, 1))
 
 
-def member_lanes(a: NatSet, lo: int, hi: int, width: int) -> int:
-    """An integer with one lane of `width` bytes per point of [lo, hi].
+def point_flags(a: NatSet, lo: int, hi: int) -> bytes:
+    """One byte per point of [lo, hi]: 1 where the point is in A, else 0.
 
-    Lane i (bits 8*width*i and up) is all ones when lo + i is in A and zero
-    otherwise, so ANDing it with counters kept in the same lanes keeps the
-    counters of A's points.  An empty range gives 0; lo may not be negative.
-    Built from A's bitmask a byte (eight points) at a time through a table.
+    Points above A's horizon read 0.  An empty range gives b""; lo may not
+    be negative.
     """
     if lo > hi:
-        return 0
+        return b""
     count = hi - lo + 1
     bits = (a._mask >> lo) & ((1 << count) - 1)
-    ones = b"".join(map(_BYTE_LANES.__getitem__, bits.to_bytes((count + 7) >> 3, "little")))
-    ones = ones[:count]
-    lanes = bytearray(count * width)
-    for k in range(width):  # every byte of lane i repeats the one-byte lane i
-        lanes[k::width] = ones
-    return int.from_bytes(lanes, "little")
+    return format(bits, f"0{count}b")[::-1].encode("ascii").translate(_BIT_BYTES)
 
 
 def reflect(u: int, b: NatSet, horizon: int) -> NatSet:

@@ -13,7 +13,6 @@ from .errors import CoverFailed, NoCover, PreconditionViolated, TooLarge
 from .natset import NatSet, non_elements, sumset
 
 __all__ = [
-    "SUBSET_SEARCH_CAP",
     "minimal_cover",
     "gap_detector",
     "sumset_reference",

@@ -21,7 +21,6 @@ from .natset import NatSet, read_set_file
 
 __all__ = [
     "ALPHA_GRID",
-    "FAMILIES",
     "SequenceSpec",
     "RatioAnalysis",
     "parse_spec",

@@ -29,6 +29,16 @@ def test_removed_names_stay_gone(module):
     assert not set(REMOVED) & set(vars(mod))
 
 
+def test_package_exports_are_the_module_lists():
+    # each public name is declared once, in its module's __all__
+    package = importlib.import_module("addcomp")
+    lists = [importlib.import_module(f"addcomp.{name}").__all__ for name in (
+        "natset", "sequences", "cover", "greedy", "builder", "oracle", "errors")]
+    assert package.__all__ == ["__version__", *(name for names in lists for name in names)]
+    assert len(set(package.__all__)) == len(package.__all__)
+    assert not set(importlib.import_module("addcomp.cli").__all__) & set(package.__all__)
+
+
 def test_removed_members_stay_gone():
     for attr in ("union", "difference", "complement", "max_element", "__or__", "__sub__"):
         assert attr not in vars(NatSet), attr

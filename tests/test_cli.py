@@ -337,6 +337,21 @@ def test_oracle_rejects_b_meeting_a(tmp_path, capsys):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("argv, b_top", [
+    # B's horizon lies below A's, then above it
+    (["thin", "powers:2", "--m", "8", "--n", "8", "--x1", "4", "--x2", "16",
+      "--horizon", "32"], 16),
+    (["oracle", "powers:2", "--m", "8", "--n", "8", "--horizon", "16"], 39),
+], ids=["thin", "oracle"])
+def test_shared_point_named_without_membership_tests(tmp_path, capsys, monkeypatch, argv, b_top):
+    # a membership test per element of B costs O(|B| * horizon) on a big B file
+    b_file = tmp_path / "B.set"
+    write_set_file(b_file, range(5, b_top + 1))  # meets A at 8 first
+    monkeypatch.setattr(NatSet, "__contains__", lambda self, x: pytest.fail("x in NatSet"))
+    assert main([*argv, "--b-file", str(b_file)]) == 2
+    assert "error: B n A = empty: 8 is in both" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("m", ["-1", "-5"])
 def test_oracle_rejects_negative_m(capsys, m):
     code = main(["oracle", "powers:2", "--horizon", "32", "--m", m, "--n", "8",

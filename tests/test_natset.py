@@ -10,9 +10,9 @@ from addcomp import (
     density_profile,
     from_interval,
     generate,
-    member_lanes,
     non_elements,
     parse_spec,
+    point_flags,
     read_set_file,
     reflect,
     sumset,
@@ -91,16 +91,14 @@ def test_non_elements_matches_list_reference():
         assert got.to_list() == want and got.horizon == max(hi, 1)
 
 
-@pytest.mark.parametrize("width", [1, 2, 4, 8])
-def test_member_lanes_match_element_by_element(width):
+def test_point_flags_match_element_by_element():
     a = random_natset(random.Random(103), 200, 0.4)
-    ones = (1 << 8 * width) - 1
     # byte-aligned and off by one, empty, a single point, past the horizon, all of it
     for lo, hi in [(8, 64), (9, 64), (8, 63), (17, 16), (50, 50), (150, 260), (0, 200)]:
-        want = sum(ones << 8 * width * (e - lo) for e in a if lo <= e <= hi)
-        assert member_lanes(a, lo, hi, width) == want, (lo, hi)
-    assert member_lanes(a, 40, 39, width) == 0
-    assert member_lanes(NatSet([], 10), 1, 10, width) == 0
+        want = bytes(int(x in a) for x in range(lo, hi + 1))
+        assert point_flags(a, lo, hi) == want, (lo, hi)
+    assert point_flags(a, 40, 39) == b""
+    assert point_flags(NatSet([], 10), 1, 10) == bytes(10)
 
 
 def test_reflect_examples():
