@@ -101,6 +101,24 @@ def test_point_flags_match_element_by_element():
     assert point_flags(NatSet([], 10), 1, 10) == bytes(10)
 
 
+@pytest.mark.parametrize("width", [1, 2, 4, 8])
+def test_member_lanes_match_element_by_element(width):
+    # greedy_cover's member mask: point_flags spread into lanes of `width`
+    # bytes, lane i for point lo + i, then filled with ones
+    a = random_natset(random.Random(103), 200, 0.4)
+    ones = (1 << 8 * width) - 1
+
+    def member_lanes(lo, hi):
+        spread = bytearray(max(hi - lo + 1, 0) * width)
+        spread[::width] = point_flags(a, lo, hi)
+        return int.from_bytes(spread, "little") * ones
+
+    for lo, hi in [(8, 64), (9, 64), (8, 63), (17, 16), (50, 50), (150, 260), (0, 200)]:
+        want = sum(ones << 8 * width * (e - lo) for e in a if lo <= e <= hi)
+        assert member_lanes(lo, hi) == want, (lo, hi)
+    assert member_lanes(40, 39) == 0
+
+
 def test_reflect_examples():
     assert reflect(10, NatSet([3, 5], 10), 10).to_list() == [5, 7]
     assert reflect(3, NatSet([5], 10), 10).to_list() == []  # negative dropped
