@@ -171,6 +171,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_thin(args) -> int:
     if args.q is not None:
+        if args.q < 1:  # checked before 4q becomes A's horizon
+            raise PreconditionViolated("q >= 1", f"got q={args.q}")
         a = generate(parse_spec(args.a, args.horizon or 4 * args.q))
         selected, trace = thin_block(a, args.q)
         context = {"source": args.a, "q": args.q, "m": 2 * args.q, "n": 2 * args.q,

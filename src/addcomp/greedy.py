@@ -6,9 +6,9 @@ a subset S that still covers the window, always taking the candidate whose
 translate covers the most still-uncovered targets (ties broken by smallest
 element).  greedy_cover computes every candidate's gain at once, one lane
 per candidate inside a big integer, and re-checks only the candidates at
-the top gain; gains only shrink, so that visits candidates in exactly this
-order.  The trace records the chosen order, the per-step marginal gains,
-and the size bounds.
+the top gain, each by one C-level gather over zero-padded flags; gains only
+shrink, so that visits candidates in exactly this order.  The trace
+records the chosen order, the per-step marginal gains, and the size bounds.
 
 The quantity controlling the bound is the depth
     depth = |A n [1, m - x1)| - (x2 - x1 - |B|),
@@ -34,11 +34,11 @@ assembled complement from scratch.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from operator import itemgetter
+from typing import Callable, Mapping
 
 from .cover import block_cover
 from .errors import CoverFailed, PreconditionViolated
@@ -132,24 +132,16 @@ def _relevant_elements(a: NatSet, m: int, n: int) -> list[int]:
     return [x for x in a.to_list() if x <= m + n - 1]
 
 
-def _uncovered_flags(m: int, n: int) -> bytearray:
-    """flags[t] == 1 exactly for the targets t in (m, m+n]; indices run over [0, m+n]."""
-    return bytearray(m + 1) + b"\x01" * n
+def _target_flags(a_list: list[int], m: int, n: int) -> tuple[bytearray, Callable]:
+    """(flags, read): flags[t] == 1 exactly for the targets t in (m, m+n], and
+    sum(read(memoryview(flags)[b:])) is the gain of a candidate b <= m + n.
 
-
-def _hits(a_list: list[int], b_el: int, m: int, end: int) -> list[int]:
-    """The x in a_list (ascending) whose translate x + b_el lands in (m, end]."""
-    return a_list[bisect_right(a_list, m - b_el):bisect_right(a_list, end - b_el)]
-
-
-def _clear_covered(flags: bytearray, a_list: list[int], b_el: int, m: int, end: int) -> int:
-    """Clear the targets in (m, end] that A + b_el covers; returns how many were set."""
-    g = 0
-    for x in _hits(a_list, b_el, m, end):
-        if flags[x + b_el]:
-            flags[x + b_el] = 0
-            g += 1
-    return g
+    Zero padding of max(a_list) bytes above m + n keeps every read in range
+    with no test of the window.  itemgetter returns a bare int for one index
+    and needs at least one, so shorter lists are read through a list.
+    """
+    flags = bytearray(m + 1) + b"\x01" * n + bytes(max(a_list, default=0))
+    return flags, itemgetter(*a_list) if len(a_list) > 1 else lambda v: [v[x] for x in a_list]
 
 
 def greedy_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[list[int], list[int]]:
@@ -168,28 +160,28 @@ def greedy_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[list[int], list[
     Candidates above m + n gain nothing and get no lane.
 
     g steps down from len(a_list).  At each g the lanes equal to g are
-    walked upwards and each candidate's gain is recomputed: one still at g
-    is picked, any other is skipped.  The lanes are recomputed after a walk
-    that picked.  This picks exactly what recomputing every gain at every
-    step does, by gain descending, then element ascending: gains only
-    shrink, so a candidate below g when the lanes were computed never
-    reaches g again; every candidate still at g lies ahead in the walk, so
-    the next one found still at g is the smallest; and once the walk ends
-    none is at g, so the top gain is below g.
+    walked upwards and each candidate's gain is re-read by one gather over
+    the padded flags: one still at g is picked, any other is skipped.  The
+    lanes are recomputed after a walk that picked.  This picks exactly what
+    recomputing every gain at every step does, by gain descending, then
+    element ascending: gains only shrink, so a candidate below g when the
+    lanes were computed never reaches g again; every candidate still at g
+    lies ahead in the walk, so the next one found still at g is the
+    smallest; and once the walk ends none is at g, so the top gain is below g.
     """
     a_list = _relevant_elements(a, m, n)
     end = m + n
     width = next(w for w in (1, 2, 4, 8) if len(a_list) < 1 << 8 * w)
     # With no candidate in [1, m+n], one lane for m+n itself, which gains nothing.
     lo = min(b.min_element() or end, end)
-    count = end - lo + 1
     # Lanes are little-endian bytes throughout, whatever the host's byte order.
-    spread = bytearray(count * width)
+    spread = bytearray((end - lo + 1) * width)
     # Lanes hold 0 or 1, so the product fills each lane of B with ones and carries nothing.
     spread[::width] = point_flags(b, lo, end)
     members = int.from_bytes(spread, "little") * ((1 << 8 * width) - 1)
 
-    flags = _uncovered_flags(m, n)
+    flags, read = _target_flags(a_list, m, n)
+    view = memoryview(flags)
     uncovered = n
     chosen: list[int] = []
     gains: list[int] = []
@@ -199,22 +191,21 @@ def greedy_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[list[int], list[
         if not g:
             raise CoverFailed("candidates exhausted with targets still uncovered")
         if stale:
-            spread[::width] = flags[lo:]
+            lanes = b""  # f, the lane sum and the lanes are each as long as spread: keep one
+            spread[::width] = flags[lo:end + 1]
             f = int.from_bytes(spread, "little")
-            lane_gains = sum(f >> 8 * width * x for x in a_list) & members
-            lanes = lane_gains.to_bytes(count * width, "little")
+            lanes = (sum(f >> 8 * width * x for x in a_list) & members).to_bytes(len(spread), "little")
+            del f
             stale = False
         lane = g.to_bytes(width, "little")
         pos = lanes.find(lane)
         while pos >= 0 and uncovered:
             if not pos % width:  # a lane, not a match across two lanes
                 b_el = lo + pos // width
-                new_g = 0
-                for x in _hits(a_list, b_el, m, end):
-                    if flags[x + b_el]:
-                        new_g += 1
-                if new_g == g:
-                    uncovered -= _clear_covered(flags, a_list, b_el, m, end)
+                if sum(read(view[b_el:])) == g:
+                    for x in a_list:
+                        flags[b_el + x] = 0
+                    uncovered -= g
                     chosen.append(b_el)
                     gains.append(g)
                     stale = True
@@ -270,8 +261,14 @@ def greedy_thin(inst: GreedyInstance) -> tuple[NatSet, GreedyTrace]:
     if depth < DEGENERATE_DEPTH:
         chosen = inst.b.to_list()
         a_list = _relevant_elements(inst.a, inst.m, inst.n)
-        flags = _uncovered_flags(inst.m, inst.n)
-        gains = [_clear_covered(flags, a_list, b_el, inst.m, inst.m + inst.n) for b_el in chosen]
+        flags, read = _target_flags(a_list, inst.m, inst.n)
+        view = memoryview(flags)
+        gains = []
+        for b_el in chosen:
+            b_el = min(b_el, inst.m + inst.n)  # A + (m + n) covers nothing, like any A + b above it
+            gains.append(sum(read(view[b_el:])))
+            for x in a_list:
+                flags[b_el + x] = 0
     else:
         chosen, gains = greedy_cover(inst.a, inst.b, inst.m, inst.n)
         two_term = two_term_bound(len(inst.b), depth, inst.n, cutoff)

@@ -232,6 +232,14 @@ def test_thin_explicit_mode_requires_all_flags(capsys):
     assert "--" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("horizon", [[], ["--horizon", "64"]])
+@pytest.mark.parametrize("q", ["0", "-1"])
+def test_thin_rejects_q_below_one(capsys, q, horizon):
+    # named as the q the user gave, not as the horizon 4q or block_cover's m
+    assert main(["thin", "powers:2", "--q", q, *horizon]) == 2
+    assert f"q >= 1: got q={q}" in capsys.readouterr().err
+
+
 def test_thin_precondition_failure_exits_2(tmp_path):
     a_file = tmp_path / "A.set"
     write_set_file(a_file, NatSet([9, 10, 11], 64))

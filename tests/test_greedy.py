@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from addcomp import (
+    CoverFailed,
     GreedyInstance,
     NatSet,
     PreconditionViolated,
@@ -94,6 +95,74 @@ def test_selection_matches_full_recompute_on_wide_lanes():
     assert all(count_in(a, 1, m + n, "[)") > 256 for a, _, m, n in instances[2:])
 
 
+def _cover_outcome(cover, a, b, m, n):
+    try:
+        return cover(a, b, m, n)
+    except CoverFailed:
+        return "CoverFailed"
+
+
+@pytest.mark.parametrize("relevant", [0, 1, 2])
+def test_selection_matches_full_recompute_with_few_relevant_elements(relevant):
+    # one relevant element gets a reader other than itemgetter, none gets no reader at all
+    rng = random.Random(56 + relevant)
+    outcomes = set()
+    for _ in range(60):
+        m, n = rng.randint(1, 20), rng.randint(1, 20)
+        end = m + n
+        x2 = end + rng.randint(0, 8)
+        low = rng.sample(range(1, end), min(relevant, end - 1))
+        high = [x for x in range(end, x2 + 1) if rng.random() < 0.3]
+        a = NatSet(low + high, x2)
+        b = NatSet([x for x in range(1, x2 + 1) if rng.random() < 0.8], x2)
+        got = _cover_outcome(greedy_cover, a, b, m, n)
+        assert got == _cover_outcome(_greedy_cover_reference, a, b, m, n)
+        outcomes.add(got == "CoverFailed")
+    assert outcomes == ({True} if relevant == 0 else {True, False})
+    # no targets and an empty A
+    empty = NatSet([], 10)
+    assert greedy_cover(empty, NatSet([3, 4], 10), 5, 0) == ([], [])
+    assert _greedy_cover_reference(empty, NatSet([3, 4], 10), 5, 0) == ([], [])
+
+
+def test_translates_read_into_the_zero_padding():
+    # window (8, 10], relevant A = {1, 9}: candidate 9 reads target 9 + 9 = 18,
+    # max(a_list) - 1 past m + n, and the replay reads 10 + 9, the last padding byte
+    a = NatSet([1, 9], 20)
+    b = NatSet([6, 7, 8, 9, 10], 20)
+    assert greedy_cover(a, b, 8, 2) == _greedy_cover_reference(a, b, 8, 2) == ([8, 9], [1, 1])
+    _, trace = greedy_thin(GreedyInstance(a=a, b=b, m=8, n=2, x1=5, x2=10))
+    assert trace.degenerate
+    assert trace.gains == (0, 0, 1, 1, 0)
+
+
+def _replayed_gains(a, chosen, m, n):
+    """Marginal gains of `chosen` in order, by plain set arithmetic."""
+    uncovered = set(range(m + 1, m + n + 1))
+    gains = []
+    for b_el in chosen:
+        hit = {x + b_el for x in a} & uncovered
+        uncovered -= hit
+        gains.append(len(hit))
+    return gains
+
+
+def test_degenerate_replay_matches_brute_force_gains():
+    rng = random.Random(57)
+    checked = above_window = 0
+    while checked < 80:
+        inst = random_greedy_instance(rng, min_depth=1)
+        if inst.depth() >= 3:
+            continue
+        _, trace = greedy_thin(inst)
+        assert trace.degenerate
+        assert trace.chosen == tuple(inst.b.to_list())
+        assert list(trace.gains) == _replayed_gains(inst.a, trace.chosen, inst.m, inst.n)
+        above_window += any(b_el > inst.m + inst.n for b_el in trace.chosen)
+        checked += 1
+    assert above_window > 10  # candidates above m + n are replayed with gain 0
+
+
 def test_selection_memory_on_a_block():
     q = 1 << 12
     a = generate(parse_spec("powers:2", 4 * q))
@@ -127,8 +196,6 @@ def test_singleton_candidate_is_forced():
 
 
 def test_uncoverable_window_is_detected():
-    from addcomp import CoverFailed
-
     a = NatSet([1, 2, 3], 20)
     # too few candidates, none at all, and only candidates above m + n = 12
     for b in (NatSet([6], 20), NatSet([], 20), NatSet([13, 15, 20], 20)):
