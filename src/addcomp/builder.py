@@ -74,11 +74,9 @@ class ComplementBuild:
     """Everything produced by one pipeline run."""
 
     source: str
-    horizon: int
     analysis: RatioAnalysis
     blocks: tuple[BlockBuild, ...]
     complement: NatSet
-    threshold: int
     coverage: CoverCertificate
     density: DensityProfile
 
@@ -207,12 +205,10 @@ def build_complement(spec: SequenceSpec, alpha_hint=None) -> ComplementBuild:
     samples = [1 << j for j in range(analysis.gamma + 1, h.bit_length())]
     density = density_profile(complement, samples)
     return ComplementBuild(
-        source=spec.describe(),
-        horizon=h,
+        source=spec.source,
         analysis=analysis,
         blocks=tuple(blocks),
         complement=complement,
-        threshold=analysis.threshold,
         coverage=coverage,
         density=density,
     )

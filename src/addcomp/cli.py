@@ -21,8 +21,8 @@ from .errors import AddcompError, CoverFailed, NoCover, PreconditionViolated
 from .greedy import GreedyInstance, GreedyTrace, greedy_cover, greedy_thin, thin_block
 from .natset import (
     NatSet,
+    count_in,
     density_profile,
-    from_interval,
     non_elements,
     read_set_file,
     write_set_file,
@@ -78,7 +78,7 @@ def _build_report(build: ComplementBuild) -> dict:
     return {
         "tool_version": __version__,
         "spec": build.source,
-        "horizon": build.horizon,
+        "horizon": build.complement.horizon,
         "parameters": {
             "n0": build.analysis.n0,
             "alpha": build.analysis.alpha,
@@ -144,7 +144,7 @@ def _cmd_build(args) -> int:
     cov = build.coverage
     print(
         f"built {len(build.complement)} elements in {len(build.blocks)} blocks "
-        f"(gamma={build.analysis.gamma}, threshold={build.threshold})"
+        f"(gamma={build.analysis.gamma}, threshold={build.analysis.threshold})"
     )
     if cov.ok:
         print(f"coverage ({cov.lo}, {cov.hi}] verified")
@@ -186,7 +186,7 @@ def _cmd_thin(args) -> int:
         if a.horizon < args.x2:  # membership in A is unknown on part of (x1, x2]
             raise PreconditionViolated("horizon >= x2", f"horizon {a.horizon} < {args.x2}")
         b = read_set_file(args.b_file)
-        if b.issubset(from_interval(args.x1, args.x2, horizon=b.horizon)):  # else validate names it
+        if count_in(b, args.x1, args.x2) == len(b):  # else validate names it
             _require_disjoint(a, b)
         inst = GreedyInstance(a=a, b=b, m=args.m, n=args.n, x1=args.x1, x2=args.x2)
         selected, trace = greedy_thin(inst)

@@ -70,8 +70,7 @@ def translate_count_lower_bound(
     and rhs = |A n [n-hi, n-lo)| - (hi - lo - |B|).  Callers assert
     lhs >= rhs; rhs may be negative.
     """
-    window = from_interval(lo, hi, "(]", horizon=max(b.horizon, hi if hi >= 1 else 1))
-    if not b.issubset(window):
+    if count_in(b, lo, hi) != len(b):
         raise PreconditionViolated("B subset of (lo, hi]", f"B has elements outside ({lo}, {hi}]")
     lhs = len(reflect(n, b, a.horizon) & a)
     rhs = count_in(a, n - hi, n - lo, "[)") - (hi - lo - len(b))

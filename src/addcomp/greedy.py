@@ -22,13 +22,13 @@ regime where the cutoff formula collapses; thinning is skipped there and
 S = B is returned with the trace flagged.
 
 Each fact is checked once, by its owner.  GreedyInstance.validate checks
-the instance's shape, B inside (x1, x2], m + n <= x2 and depth > 0; a
-positive depth already puts every target in at least `depth` translates
-(the translate-count lower bound), so the initial cover is not re-proven
-here.  For a dyadic block, cover.block_cover checks the block's shape,
-horizon and counting hypothesis and proves the cover by sumset; the depth
-check is then exactly |A n [1,q)| > |A n (q,4q]|.  builder re-verifies the
-assembled complement from scratch.
+the instance's shape, B inside (x1, x2] (one count), m + n <= x2 and
+depth > 0; a positive depth already puts every target in at least `depth`
+translates (the translate-count lower bound), so the initial cover is not
+re-proven here.  For a dyadic block, cover.block_cover checks the block's
+shape, horizon and counting hypothesis and proves the cover by sumset; the
+depth check is then exactly |A n [1,q)| > |A n (q,4q]|.  _target_flags
+scans A once, below m + n.  builder re-verifies the complement from scratch.
 """
 
 from __future__ import annotations
@@ -37,12 +37,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from operator import itemgetter
 from typing import Callable, Mapping
 
 from .cover import block_cover
 from .errors import CoverFailed, PreconditionViolated
-from .natset import NatSet, count_in, from_interval, point_flags
+from .natset import NatSet, count_in, point_flags
 
 __all__ = [
     "GreedyInstance",
@@ -86,8 +87,7 @@ class GreedyInstance:
             raise PreconditionViolated("n >= 1", f"got n={self.n}")
         if not (1 <= self.x1 < self.x2):
             raise PreconditionViolated("1 <= x1 < x2", f"got x1={self.x1}, x2={self.x2}")
-        window = from_interval(self.x1, self.x2, "(]", horizon=max(self.b.horizon, self.x2))
-        if not self.b.issubset(window):
+        if count_in(self.b, self.x1, self.x2) != len(self.b):
             raise PreconditionViolated(
                 "B subset of (x1, x2]", f"B has elements outside ({self.x1}, {self.x2}]"
             )
@@ -127,21 +127,18 @@ class GreedyTrace:
     degenerate: bool
 
 
-def _relevant_elements(a: NatSet, m: int, n: int) -> list[int]:
-    # Elements above m + n - 1 cannot land a sum inside (m, m+n].
-    return [x for x in a.to_list() if x <= m + n - 1]
-
-
-def _target_flags(a_list: list[int], m: int, n: int) -> tuple[bytearray, Callable]:
-    """(flags, read): flags[t] == 1 exactly for the targets t in (m, m+n], and
-    sum(read(memoryview(flags)[b:])) is the gain of a candidate b <= m + n.
+def _target_flags(a: NatSet, m: int, n: int) -> tuple[list[int], bytearray, Callable]:
+    """(a_list, flags, read): a_list is A below m + n, scanned no further, as
+    no larger element lands a sum in (m, m+n]; flags[t] == 1 exactly for the
+    targets t; and sum(read(memoryview(flags)[b:])) is the gain of b <= m + n.
 
     Zero padding of max(a_list) bytes above m + n keeps every read in range
     with no test of the window.  itemgetter returns a bare int for one index
     and needs at least one, so shorter lists are read through a list.
     """
+    a_list = list(takewhile(lambda x: x < m + n, a))
     flags = bytearray(m + 1) + b"\x01" * n + bytes(max(a_list, default=0))
-    return flags, itemgetter(*a_list) if len(a_list) > 1 else lambda v: [v[x] for x in a_list]
+    return a_list, flags, itemgetter(*a_list) if len(a_list) > 1 else lambda v: [v[x] for x in a_list]
 
 
 def greedy_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[list[int], list[int]]:
@@ -169,7 +166,7 @@ def greedy_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[list[int], list[
     lies ahead in the walk, so the next one found still at g is the
     smallest; and once the walk ends none is at g, so the top gain is below g.
     """
-    a_list = _relevant_elements(a, m, n)
+    a_list, flags, read = _target_flags(a, m, n)
     end = m + n
     width = next(w for w in (1, 2, 4, 8) if len(a_list) < 1 << 8 * w)
     # With no candidate in [1, m+n], one lane for m+n itself, which gains nothing.
@@ -180,7 +177,6 @@ def greedy_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[list[int], list[
     spread[::width] = point_flags(b, lo, end)
     members = int.from_bytes(spread, "little") * ((1 << 8 * width) - 1)
 
-    flags, read = _target_flags(a_list, m, n)
     view = memoryview(flags)
     uncovered = n
     chosen: list[int] = []
@@ -225,11 +221,15 @@ def _harmonic(k: int) -> Fraction:
     return sum((Fraction(1, i) for i in range(1, k + 1)), Fraction(0))
 
 
-def _two_term_bound_exact(num_candidates: int, depth: int, num_targets: int, cutoff: int) -> Fraction:
+def _check_bound_args(depth: int, cutoff: int) -> None:
     if cutoff < 1:
         raise ValueError(f"cutoff must be at least 1, got {cutoff}")
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
+
+
+def _two_term_bound_exact(num_candidates: int, depth: int, num_targets: int, cutoff: int) -> Fraction:
+    _check_bound_args(depth, cutoff)
     return Fraction(num_candidates, depth) * _harmonic(cutoff) + Fraction(num_targets, cutoff)
 
 
@@ -240,10 +240,7 @@ def two_term_bound(num_candidates: int, depth: int, num_targets: int, cutoff: in
 
 def closed_form_bound(num_candidates: int, depth: int, num_targets: int, cutoff: int) -> float:
     """Same shape with H(cutoff) relaxed to 1 + ln cutoff (its elementary bound)."""
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be at least 1, got {cutoff}")
-    if depth < 1:
-        raise ValueError(f"depth must be at least 1, got {depth}")
+    _check_bound_args(depth, cutoff)
     return (num_candidates / depth) * (1.0 + math.log(cutoff)) + num_targets / cutoff
 
 
@@ -260,8 +257,7 @@ def greedy_thin(inst: GreedyInstance) -> tuple[NatSet, GreedyTrace]:
     two_term = closed_form = None
     if depth < DEGENERATE_DEPTH:
         chosen = inst.b.to_list()
-        a_list = _relevant_elements(inst.a, inst.m, inst.n)
-        flags, read = _target_flags(a_list, inst.m, inst.n)
+        a_list, flags, read = _target_flags(inst.a, inst.m, inst.n)
         view = memoryview(flags)
         gains = []
         for b_el in chosen:

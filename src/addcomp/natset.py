@@ -79,7 +79,7 @@ class NatSet:
     results to [1, horizon].
     """
 
-    __slots__ = ("_horizon", "_mask", "_count")
+    __slots__ = ("_horizon", "_mask")
 
     def __init__(self, elements: Iterable[int], horizon: int):
         if horizon < 1:
@@ -93,15 +93,15 @@ class NatSet:
             buf[e >> 3] |= 1 << (e & 7)
         self._horizon = horizon
         self._mask = int.from_bytes(bytes(buf), "little")
-        self._count = -1
 
     @classmethod
     def _from_mask(cls, mask: int, horizon: int) -> "NatSet":
         # Internal fast path; callers guarantee mask only has bits in [1, horizon].
+        if horizon < 1:
+            raise ValueError(f"horizon must be at least 1, got {horizon}")
         obj = object.__new__(cls)
         obj._horizon = horizon
         obj._mask = mask
-        obj._count = -1
         return obj
 
     @property
@@ -109,9 +109,7 @@ class NatSet:
         return self._horizon
 
     def __len__(self) -> int:
-        if self._count < 0:
-            self._count = self._mask.bit_count()
-        return self._count
+        return self._mask.bit_count()
 
     def __bool__(self) -> bool:
         return self._mask != 0
@@ -165,8 +163,6 @@ class NatSet:
 
     def with_horizon(self, horizon: int) -> "NatSet":
         """Same elements re-truncated to a new horizon (clips when shrinking)."""
-        if horizon < 1:
-            raise ValueError(f"horizon must be at least 1, got {horizon}")
         if horizon == self._horizon:
             return self
         return NatSet._from_mask(self._mask & _range_mask(1, horizon), horizon)
@@ -185,8 +181,6 @@ def from_interval(lo: int, hi: int, kind: str = "(]", *, horizon: int) -> NatSet
 
     An empty intersection yields the empty set; no errors for inverted bounds.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
     lo2, hi2 = _closed_bounds(lo, hi, kind)
     lo2 = max(lo2, 1)
     hi2 = min(hi2, horizon)
@@ -208,8 +202,6 @@ def sumset(a: NatSet, b: NatSet, horizon: int) -> NatSet:
     check costs O(horizon), so it runs after shifts 1, 2, 4, 8, ... only;
     a sumset that never saturates pays for log2(shifts) checks.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
     small, big = (a, b) if len(a) <= len(b) else (b, a)
     big_mask = big._mask
     low = big.min_element()

@@ -46,27 +46,15 @@ _GEOMETRIC_ITERATION_CAP = 100_000
 
 @dataclass(frozen=True)
 class SequenceSpec:
-    """A rule producing the base set: family name, parameters, horizon."""
+    """A rule producing the base set: family name, horizon, spec string, parameters."""
 
     family: str
     horizon: int
+    source: str                              # the spec string, echoed in reports
     k: int | None = None                     # powers: base
     c: Fraction | None = None                # geometric: scale
     alpha: Fraction | None = None            # geometric: ratio
     elements: NatSet | None = None           # explicit data
-    source: str | None = None                # original spec string, if parsed
-
-    def describe(self) -> str:
-        """Canonical spec string for reports."""
-        if self.source:
-            return self.source
-        if self.family == "powers":
-            return f"powers:{self.k}"
-        if self.family == "geometric":
-            return f"geometric:c={self.c},alpha={self.alpha}"
-        if self.family == "explicit":
-            return f"explicit:<{len(self.elements or ())} elements>"
-        return self.family
 
 
 def _coerce_fraction(value, what: str) -> Fraction:
@@ -97,7 +85,7 @@ def parse_spec(text: str, horizon: int | None = None) -> SequenceSpec:
         if not rest:
             raise ValueError("file: spec needs a path")
         a = read_set_file(rest, horizon)
-        return SequenceSpec("explicit", a.horizon, elements=a, source=text)
+        return SequenceSpec("explicit", a.horizon, text, elements=a)
     if horizon is None:
         raise ValueError(f"spec {text!r} needs an explicit horizon")
     if head == "powers":
@@ -105,7 +93,7 @@ def parse_spec(text: str, horizon: int | None = None) -> SequenceSpec:
             k = int(rest)
         except ValueError:
             raise ValueError(f"powers spec needs an integer base, got {rest!r}") from None
-        return SequenceSpec("powers", horizon, k=k, source=text)
+        return SequenceSpec("powers", horizon, text, k=k)
     if head == "geometric":
         params = {}
         for part in rest.split(","):
@@ -117,13 +105,13 @@ def parse_spec(text: str, horizon: int | None = None) -> SequenceSpec:
         return SequenceSpec(
             "geometric",
             horizon,
+            text,
             c=_coerce_fraction(params["c"], "scale"),
             alpha=_coerce_fraction(params["alpha"], "ratio"),
-            source=text,
         )
     if rest:
         raise ValueError(f"family {head!r} takes no parameters")
-    return SequenceSpec(head, horizon, source=text)
+    return SequenceSpec(head, horizon, text)
 
 
 def _prime_flags(limit: int) -> bytearray:
@@ -246,7 +234,9 @@ def _min_tail_start(seq: Sequence[int], alpha: Fraction) -> int | None:
 
 
 def ratio_tail_holds(seq: Sequence[int], n0: int, alpha: Fraction) -> bool:
-    """Exact check of the tail bound over every in-horizon index n >= n0."""
+    """Exact check of the tail bound over every in-horizon index n >= n0 >= 1."""
+    if n0 < 1:
+        raise ValueError(f"n0 >= 1: got n0={n0}")
     num, den = alpha.numerator, alpha.denominator
     return all(seq[i + 1] * den >= seq[i] * num for i in range(n0 - 1, len(seq) - 1))
 

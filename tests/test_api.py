@@ -5,7 +5,16 @@ from pathlib import Path
 
 import pytest
 
-from addcomp import BlockCoverResult, NatSet, build_complement, reflect, sumset, sumset_reference
+from addcomp import (
+    BlockCoverResult,
+    ComplementBuild,
+    NatSet,
+    SequenceSpec,
+    build_complement,
+    reflect,
+    sumset,
+    sumset_reference,
+)
 from addcomp import natset
 
 MODULES = ("addcomp", *(f"addcomp.{name}" for name in (
@@ -45,6 +54,10 @@ def test_removed_members_stay_gone():
     fields = [f.name for f in dataclasses.fields(BlockCoverResult)]
     assert fields == ["candidate_set", "covered"]
     assert "horizon" not in inspect.signature(build_complement).parameters
+    # one owner per fact: no copied fields, no cached count, no fallback spec string
+    assert not {"threshold", "horizon"} & {f.name for f in dataclasses.fields(ComplementBuild)}
+    assert "_count" not in NatSet.__slots__
+    assert not hasattr(SequenceSpec, "describe")
 
 
 def test_bitmask_stays_inside_natset():

@@ -24,7 +24,7 @@ from addcomp.sequences import _generate_geometric, analyze_ratio, ratio_tail_hol
 def test_build_powers_small_horizon():
     build = build_complement(parse_spec("powers:2", 1 << 12))
     assert build.analysis.gamma == 6
-    assert build.threshold == 128
+    assert build.analysis.threshold == 128
     assert [b.exponent for b in build.blocks] == [6, 7, 8, 9, 10]
     assert (build.coverage.lo, build.coverage.hi) == (128, 1 << 11)
     assert build.coverage.ok
@@ -56,10 +56,10 @@ def test_build_each_block_covers_its_dyadic_range():
 
 def test_build_explicit_with_hint():
     elems = tuple(10**i for i in range(7))
-    spec = SequenceSpec("explicit", 10**6, elements=NatSet(elems, 10**6))
+    spec = SequenceSpec("explicit", 10**6, "explicit", elements=NatSet(elems, 10**6))
     build = build_complement(spec, alpha_hint="10")
     assert build.analysis.gamma == 8
-    assert build.threshold == 512
+    assert build.analysis.threshold == 512
     assert build.coverage.ok
     assert (build.coverage.lo, build.coverage.hi) == (512, 1 << 19)
     assert not build.analysis.certified
@@ -121,7 +121,7 @@ def test_block_precondition_failure_keeps_its_cause():
 def test_density_samples_start_at_threshold():
     build = build_complement(parse_spec("powers:2", 1 << 13))
     ns = [s.n for s in build.density.samples]
-    assert ns[0] == build.threshold
+    assert ns[0] == build.analysis.threshold
     assert ns == [1 << j for j in range(7, 14)]
 
 

@@ -177,6 +177,24 @@ def test_thin_explicit_mode(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("args, sha256", [
+    (["powers:2", "--q", "8", "--horizon", "1024"],
+     "b149fd710a63f94142f06f138e0636029d420adbd66526c347cbbcc2c99b1ad2"),
+    (["powers:2", "--q", "4096"],
+     "7cc680e3d273a1ff6e8245bb24f20ffcae875d7799af5158d5ad83ac27bf603c"),
+    (["file:A.set", "--m", "16", "--n", "20", "--x1", "10", "--x2", "40",
+      "--b-file", "B.set", "--horizon", "40"],
+     "b1364c9248d45dd7b99ae170890f6cce469148c4dbf959847d3684f67a4395da"),
+], ids=["degenerate", "dyadic", "explicit"])
+def test_thin_report_bytes_are_pinned(tmp_path, monkeypatch, args, sha256):
+    # relative paths, since the report echoes the spec string
+    monkeypatch.chdir(tmp_path)
+    write_set_file("A.set", NatSet([1, 2, 3, 4, 5, 6, 7, 8], 40))
+    write_set_file("B.set", NatSet(list(range(11, 41)), 40))
+    assert main(["thin", *args, "--report", "R.json"]) == 0
+    assert hashlib.sha256((tmp_path / "R.json").read_bytes()).hexdigest() == sha256
+
+
 def test_thin_explicit_mode_rejects_b_beyond_x2(tmp_path, capsys):
     b_file = tmp_path / "B.set"
     write_set_file(b_file, [*range(5, 17), 500])

@@ -78,6 +78,12 @@ def test_lower_bound_empty_slice():
 def test_lower_bound_rejects_escapees():
     with pytest.raises(PreconditionViolated):
         translate_count_lower_bound(NatSet([1], 10), NatSet([5], 10), 0, 3, 7)
+    for outside in ([3], [8]):  # lo and hi + 1 lie just outside (lo, hi] = (3, 7]
+        with pytest.raises(PreconditionViolated, match="B subset of"):
+            translate_count_lower_bound(NatSet([1], 10), NatSet(outside, 10), 3, 7, 7)
+    # an empty B and B = (lo, hi] are accepted
+    for b in (NatSet([], 10), from_interval(3, 7, horizon=10)):
+        translate_count_lower_bound(NatSet([1], 10), b, 3, 7, 7)
 
 
 def test_lower_bound_holds_on_random_sweeps():

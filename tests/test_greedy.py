@@ -217,6 +217,14 @@ def test_precondition_clauses_are_named():
     with pytest.raises(PreconditionViolated) as err:
         greedy_thin(GreedyInstance(a=NatSet([9, 10], 20), b=b, m=8, n=2, x1=5, x2=12))
     assert "depth" in str(err.value)
+    for outside in ([5], [13]):  # x1 and x2 + 1 lie just outside (x1, x2] = (5, 12]
+        with pytest.raises(PreconditionViolated, match="subset"):
+            GreedyInstance(a=a, b=NatSet(outside, 20), m=8, n=2, x1=5, x2=12).validate()
+    # an empty B and B = (x1, x2] pass the subset clause
+    with pytest.raises(PreconditionViolated, match="depth"):
+        GreedyInstance(a=a, b=NatSet([], 20), m=8, n=2, x1=5, x2=12).validate()
+    full = from_interval(5, 12, horizon=20)
+    assert GreedyInstance(a=a, b=full, m=8, n=2, x1=5, x2=12).validate() == 2
     # There is no initial-cover clause: a positive depth already forces
     # coverage (the translate-count lower bound is positive at every target),
     # see test_positive_depth_forces_initial_cover.

@@ -40,7 +40,7 @@ def test_explicit_rejects_disorder(tmp_path):
 
 
 def test_explicit_clips_to_horizon():
-    spec = SequenceSpec("explicit", 10, elements=NatSet([1, 5, 50], 50))
+    spec = SequenceSpec("explicit", 10, "explicit", elements=NatSet([1, 5, 50], 50))
     assert generate(spec).to_list() == [1, 5]
 
 
@@ -68,11 +68,13 @@ def test_geometric_deduplicates():
 
 def test_family_parameter_validation():
     with pytest.raises(ValueError):
-        generate(SequenceSpec("powers", 10, k=1))
+        generate(SequenceSpec("powers", 10, "powers:1", k=1))
     with pytest.raises(ValueError):
-        generate(SequenceSpec("geometric", 10, c=Fraction(1), alpha=Fraction(1)))
+        generate(SequenceSpec("geometric", 10, "geometric:c=1,alpha=1",
+                              c=Fraction(1), alpha=Fraction(1)))
     with pytest.raises(ValueError):
-        generate(SequenceSpec("geometric", 10, c=Fraction(-1), alpha=Fraction(2)))
+        generate(SequenceSpec("geometric", 10, "geometric:c=-1,alpha=2",
+                              c=Fraction(-1), alpha=Fraction(2)))
     with pytest.raises(ValueError):
         parse_spec("powers:x", 10)
     with pytest.raises(ValueError):
@@ -83,7 +85,7 @@ def test_family_parameter_validation():
 
 def test_explicit_needs_elements():
     with pytest.raises(ValueError, match="explicit family needs elements"):
-        generate(SequenceSpec("explicit", 10))
+        generate(SequenceSpec("explicit", 10, "explicit"))
 
 
 def test_parse_file_spec(tmp_path):
@@ -115,6 +117,13 @@ def test_analyze_minimal_tail_start():
     an = analyze_ratio([1, 3, 4, 8, 16, 32, 64, 128], alpha_hint=2)
     assert an.n0 == 3
     assert ratio_tail_holds([1, 3, 4, 8, 16, 32, 64, 128], an.n0, an.alpha_exact)
+
+
+@pytest.mark.parametrize("n0", [0, -5])
+def test_ratio_tail_holds_rejects_n0_below_one(n0):
+    # n0 = 0 used to read seq[-1], and n0 = -5 to raise a bare IndexError
+    with pytest.raises(ValueError, match="n0 >= 1"):
+        ratio_tail_holds([1, 2, 4, 8], n0, Fraction(2))
 
 
 def test_analysis_tail_always_verifies():
