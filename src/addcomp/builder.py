@@ -18,14 +18,7 @@ from typing import Iterable, Sequence
 
 from .errors import BlockPreconditionFailed, CoverFailed, PreconditionViolated
 from .greedy import GreedyTrace, thin_block
-from .natset import (
-    DensityProfile,
-    NatSet,
-    count_in,
-    density_profile,
-    non_elements,
-    sumset,
-)
+from .natset import DensitySample, NatSet, count_in, density_profile, non_elements, sumset
 from .sequences import RatioAnalysis, SequenceSpec, analyze_ratio, generate
 
 __all__ = [
@@ -44,13 +37,11 @@ _CERTIFIED_FAMILIES = ("powers",)
 
 @dataclass(frozen=True)
 class BlockBuild:
-    """One thinned dyadic block: selection from (base, 4*base] minus A, and its trace."""
+    """The thinned block q = 2^exponent: trace.chosen is its selection from (q, 4q] minus A."""
 
     exponent: int
-    base: int
-    selected: NatSet
     trace: GreedyTrace
-    translate_bound_ok: bool  # |A n (base, 4*base]| <= r, re-checked at runtime
+    translate_bound_ok: bool  # |A n (q, 4q]| <= r, re-checked at runtime
 
 
 @dataclass(frozen=True)
@@ -71,14 +62,19 @@ class CoverCertificate:
 
 @dataclass(frozen=True)
 class ComplementBuild:
-    """Everything produced by one pipeline run."""
+    """Everything produced by one pipeline run.
+
+    certified is True when the family guarantees the ratio analytically,
+    False when it was only verified on the finite prefix.
+    """
 
     source: str
     analysis: RatioAnalysis
+    certified: bool
     blocks: tuple[BlockBuild, ...]
     complement: NatSet
     coverage: CoverCertificate
-    density: DensityProfile
+    density: tuple[DensitySample, ...]
 
 
 def verify_cover(a: NatSet, b: NatSet, lo: int, hi: int) -> CoverCertificate:
@@ -152,7 +148,7 @@ def _build_blocks(a: NatSet, analysis: RatioAnalysis, horizon: int) -> list[Bloc
     while (1 << (i + 2)) <= horizon:
         q = 1 << i
         try:
-            selected, trace = thin_block(a, q)
+            _, trace = thin_block(a, q)
         except PreconditionViolated as exc:
             raise BlockPreconditionFailed(
                 i,
@@ -162,8 +158,6 @@ def _build_blocks(a: NatSet, analysis: RatioAnalysis, horizon: int) -> list[Bloc
         blocks.append(
             BlockBuild(
                 exponent=i,
-                base=q,
-                selected=selected,
                 trace=trace,
                 translate_bound_ok=count_in(a, q, 4 * q, "(]") <= analysis.r,
             )
@@ -182,9 +176,7 @@ def build_complement(spec: SequenceSpec, alpha_hint=None) -> ComplementBuild:
     """
     h = spec.horizon
     a = generate(spec)
-    analysis = analyze_ratio(
-        a.to_list(), alpha_hint, certified=spec.family in _CERTIFIED_FAMILIES
-    )
+    analysis = analyze_ratio(a.to_list(), alpha_hint)
     first_block_end = 1 << (analysis.gamma + 2)
     if h < first_block_end:
         raise PreconditionViolated(
@@ -192,7 +184,7 @@ def build_complement(spec: SequenceSpec, alpha_hint=None) -> ComplementBuild:
             f"horizon {h} cannot fit the first block ending at {first_block_end}",
         )
     blocks = _build_blocks(a, analysis, h)
-    complement = NatSet(chain.from_iterable(blk.selected for blk in blocks), h)
+    complement = NatSet(chain.from_iterable(blk.trace.chosen for blk in blocks), h)
     if not complement.isdisjoint(a):
         raise CoverFailed("complement intersects the base set; blocks are corrupt")
 
@@ -207,6 +199,7 @@ def build_complement(spec: SequenceSpec, alpha_hint=None) -> ComplementBuild:
     return ComplementBuild(
         source=spec.source,
         analysis=analysis,
+        certified=spec.family in _CERTIFIED_FAMILIES,
         blocks=tuple(blocks),
         complement=complement,
         coverage=coverage,

@@ -67,6 +67,13 @@ def _print_points(points, label: str = "missing") -> None:
           + (f" ... and {len(points) - len(shown)} more" if len(points) > len(shown) else ""))
 
 
+def _reject_flags(args, names, mode: str) -> None:
+    """Raise ValueError naming each of the flags that was given but does not apply in mode."""
+    given = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise ValueError(f"{mode} does not take {', '.join(given)}")
+
+
 def _require_disjoint(a: NatSet, b: NatSet) -> None:
     """Raise PreconditionViolated naming the smallest element B shares with A, if any."""
     if not b.isdisjoint(a):
@@ -81,18 +88,18 @@ def _build_report(build: ComplementBuild) -> dict:
         "horizon": build.complement.horizon,
         "parameters": {
             "n0": build.analysis.n0,
-            "alpha": build.analysis.alpha,
+            "alpha": float(build.analysis.alpha_exact),
             "r": build.analysis.r,
             "p": build.analysis.p,
             "gamma": build.analysis.gamma,
             "threshold": build.analysis.threshold,
-            "certified": build.analysis.certified,
+            "certified": build.certified,
         },
         "blocks": [
             {
                 "exponent": blk.exponent,
-                "base": blk.base,
-                "size": len(blk.selected),
+                "base": 1 << blk.exponent,
+                "size": len(blk.trace.chosen),
                 "degenerate": blk.trace.degenerate,
                 "depth": blk.trace.depth,
                 "gain_cutoff": blk.trace.gain_cutoff,
@@ -109,7 +116,7 @@ def _build_report(build: ComplementBuild) -> dict:
             "missing_count": len(build.coverage.missing),
         },
         "density_samples": [
-            {"n": s.n, "count": s.count, "ratio": s.ratio} for s in build.density.samples
+            {"n": s.n, "count": s.count, "ratio": s.ratio} for s in build.density
         ],
     }
 
@@ -123,7 +130,7 @@ def _trace_report(trace: GreedyTrace, *, context: dict) -> dict:
             "gain_cutoff": trace.gain_cutoff,
             "degenerate": trace.degenerate,
             "selected_size": len(trace.chosen),
-            "peak_gain": trace.peak_gain,
+            "peak_gain": trace.gains[0] if trace.gains else 0,
             "bound_two_term": trace.bound_two_term,
             "bound_closed_form": trace.bound_closed_form,
             "gain_counts": {str(g): c for g, c in sorted(trace.gain_counts.items(), reverse=True)},
@@ -171,9 +178,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_thin(args) -> int:
     if args.q is not None:
+        _reject_flags(args, ("m", "n", "x1", "x2", "b_file"), "--q")
         if args.q < 1:  # checked before 4q becomes A's horizon
             raise PreconditionViolated("q >= 1", f"got q={args.q}")
-        a = generate(parse_spec(args.a, args.horizon or 4 * args.q))
+        a = generate(parse_spec(args.a, 4 * args.q if args.horizon is None else args.horizon))
         selected, trace = thin_block(a, args.q)
         context = {"source": args.a, "q": args.q, "m": 2 * args.q, "n": 2 * args.q,
                    "x1": args.q, "x2": 4 * args.q}
@@ -182,7 +190,7 @@ def _cmd_thin(args) -> int:
                   if getattr(args, name) is None]
         if needed:
             raise ValueError(f"explicit mode needs --{', --'.join(needed)} (or use --q)")
-        a = generate(parse_spec(args.a, args.horizon or args.x2))
+        a = generate(parse_spec(args.a, args.x2 if args.horizon is None else args.horizon))
         if a.horizon < args.x2:  # membership in A is unknown on part of (x1, x2]
             raise PreconditionViolated("horizon >= x2", f"horizon {a.horizon} < {args.x2}")
         b = read_set_file(args.b_file)
@@ -205,22 +213,23 @@ def _cmd_thin(args) -> int:
 def _cmd_density(args) -> int:
     s = generate(parse_spec(args.set, args.horizon))
     points = geometric_points(s.horizon, args.samples)
-    profile = density_profile(s, points)
+    samples = density_profile(s, points)
     if args.format == "csv":
         lines = ["n,count,ratio"]
-        lines += [f"{x.n},{x.count},{x.ratio}" for x in profile.samples]
+        lines += [f"{x.n},{x.count},{x.ratio}" for x in samples]
         _emit(args.out, "\n".join(lines))
     else:
+        # The max / min ratio over the tail half, a finite stand-in for the limsup / liminf.
+        tail = [x.ratio for x in samples[len(samples) // 2 :]]
         _write_json(
             args.out,
             {
                 "tool_version": __version__,
                 "set": args.set,
                 "horizon": s.horizon,
-                "upper_estimate": profile.upper_estimate,
-                "lower_estimate": profile.lower_estimate,
-                "samples": [{"n": x.n, "count": x.count, "ratio": x.ratio}
-                            for x in profile.samples],
+                "upper_estimate": max(tail),
+                "lower_estimate": min(tail),
+                "samples": [{"n": x.n, "count": x.count, "ratio": x.ratio} for x in samples],
             },
         )
     return 0
@@ -242,9 +251,10 @@ def _cmd_gap(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    horizon = args.horizon or (args.x2 if args.x2 else None)
-    a = generate(parse_spec(args.a, horizon))
-    if args.b_file:
+    if args.b_file is not None:
+        _reject_flags(args, ("x1", "x2"), "--b-file")
+    a = generate(parse_spec(args.a, args.x2 if args.horizon is None else args.horizon))
+    if args.b_file is not None:
         b = read_set_file(args.b_file)
         _require_disjoint(a, b)
     elif args.x1 is not None and args.x2 is not None:
@@ -272,8 +282,8 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _add_common_set_args(parser, name="a", help_text="sequence spec or set file"):
-    parser.add_argument(name, help=help_text)
+def _add_common_set_args(parser, name="a"):
+    parser.add_argument(name, help="sequence spec or set file")
     parser.add_argument("--horizon", type=int, default=None, help="truncation point")
 
 

@@ -108,8 +108,8 @@ class GreedyInstance:
 class GreedyTrace:
     """Bookkeeping of one thinning run.
 
-    gains[j] is the number of targets newly covered at step j; peak_gain is
-    gains[0]; gain_counts maps each gain value to how many steps achieved it
+    gains[j] is the number of targets newly covered at step j; gain_counts
+    maps each gain value to how many steps achieved it
     (so sum of gain * count recovers the window size).  Degenerate runs skip
     the greedy selection: chosen is then B in ascending order and gains are
     the marginal gains replayed in that order, so the sum identity still
@@ -118,7 +118,6 @@ class GreedyTrace:
 
     chosen: tuple[int, ...]
     gains: tuple[int, ...]
-    peak_gain: int
     gain_counts: Mapping[int, int]
     depth: int
     gain_cutoff: int
@@ -272,7 +271,6 @@ def greedy_thin(inst: GreedyInstance) -> tuple[NatSet, GreedyTrace]:
     trace = GreedyTrace(
         chosen=tuple(chosen),
         gains=tuple(gains),
-        peak_gain=gains[0] if gains else 0,
         gain_counts=dict(Counter(g for g in gains if g)),
         depth=depth,
         gain_cutoff=cutoff,

@@ -16,13 +16,11 @@ may read them concurrently.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "NatSet",
     "DensitySample",
-    "DensityProfile",
     "from_interval",
     "sumset",
     "non_elements",
@@ -44,15 +42,15 @@ _BYTE_OFFSETS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(25
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _closed_bounds(lo: int, hi: int, kind: str) -> tuple[int, int]:
-    """Normalize an interval of the given kind to closed integer bounds."""
+def _clipped_bounds(lo: int, hi: int, kind: str, horizon: int) -> tuple[int, int]:
+    """Closed bounds of the interval of the given kind, clipped to [1, horizon]."""
     if kind not in INTERVAL_KINDS:
         raise ValueError(f"unknown interval kind {kind!r}, expected one of {INTERVAL_KINDS}")
     if kind[0] == "(":
         lo += 1
     if kind[1] == ")":
         hi -= 1
-    return lo, hi
+    return max(lo, 1), min(hi, horizon)
 
 
 def _range_mask(lo: int, hi: int) -> int:
@@ -181,10 +179,7 @@ def from_interval(lo: int, hi: int, kind: str = "(]", *, horizon: int) -> NatSet
 
     An empty intersection yields the empty set; no errors for inverted bounds.
     """
-    lo2, hi2 = _closed_bounds(lo, hi, kind)
-    lo2 = max(lo2, 1)
-    hi2 = min(hi2, horizon)
-    return NatSet._from_mask(_range_mask(lo2, hi2), horizon)
+    return NatSet._from_mask(_range_mask(*_clipped_bounds(lo, hi, kind, horizon)), horizon)
 
 
 def sumset(a: NatSet, b: NatSet, horizon: int) -> NatSet:
@@ -249,12 +244,7 @@ def reflect(u: int, b: NatSet, horizon: int) -> NatSet:
 
 def count_in(a: NatSet, lo: int, hi: int, kind: str = "(]") -> int:
     """|a intersect interval|; bounds outside [1, horizon] clip harmlessly."""
-    lo2, hi2 = _closed_bounds(lo, hi, kind)
-    lo2 = max(lo2, 1)
-    hi2 = min(hi2, a._horizon)
-    if lo2 > hi2:
-        return 0
-    return ((a._mask >> lo2) & ((1 << (hi2 - lo2 + 1)) - 1)).bit_count()
+    return (a._mask & _range_mask(*_clipped_bounds(lo, hi, kind, a._horizon))).bit_count()
 
 
 class DensitySample(NamedTuple):
@@ -263,41 +253,21 @@ class DensitySample(NamedTuple):
     ratio: float
 
 
-@dataclass(frozen=True)
-class DensityProfile:
-    """Counting ratios |A n [1, n]| / n at chosen sample points.
-
-    upper_estimate / lower_estimate are the max / min ratio over the tail
-    half of the samples, a finite stand-in for the limsup / liminf.
-    """
-
-    samples: tuple[DensitySample, ...]
-    upper_estimate: float
-    lower_estimate: float
-
-
-def density_profile(a: NatSet, sample_points: Sequence[int]) -> DensityProfile:
+def density_profile(a: NatSet, sample_points: Sequence[int]) -> tuple[DensitySample, ...]:
     """Exact counts and ratios at strictly increasing in-horizon points."""
-    pts = list(sample_points)
-    if not pts:
-        raise ValueError("need at least one sample point")
+    samples = []
     prev = 0
-    for n in pts:
+    for n in sample_points:
         if n <= prev:
             raise ValueError("sample points must be strictly increasing")
         if n > a.horizon:
             raise ValueError(f"sample point {n} beyond horizon {a.horizon}")
-        prev = n
-    samples = []
-    for n in pts:
         c = count_in(a, 1, n, "[]")
         samples.append(DensitySample(n, c, c / n))
-    tail = samples[len(samples) // 2 :]
-    return DensityProfile(
-        samples=tuple(samples),
-        upper_estimate=max(s.ratio for s in tail),
-        lower_estimate=min(s.ratio for s in tail),
-    )
+        prev = n
+    if not samples:
+        raise ValueError("need at least one sample point")
+    return tuple(samples)
 
 
 # ---------------------------------------------------------------------------

@@ -194,25 +194,21 @@ def generate(spec: SequenceSpec) -> NatSet:
 class RatioAnalysis:
     """Parameters derived from a witnessed tail growth bound.
 
-    n0         1-based index from which a_{n+1} >= alpha * a_n holds in-horizon
-    alpha      the growth bound (float view of alpha_exact)
-    r          smallest power with alpha**r >= 4
-    p          1 + max(a_{n0}, a_{2r+1}): above p every (x, 4x] slice of the
-               sequence is both short (at most r elements) and outnumbered by
-               the initial segment
-    gamma      2 + floor(log2 p): first dyadic block exponent
-    threshold  2**(gamma + 1): point from which coverage is guaranteed
-    certified  True when the family guarantees the ratio analytically;
-               False when it was only verified on the finite prefix
+    n0           1-based index from which a_{n+1} >= alpha * a_n holds in-horizon
+    r            smallest power with alpha**r >= 4
+    p            1 + max(a_{n0}, a_{2r+1}): above p every (x, 4x] slice of the
+                 sequence is both short (at most r elements) and outnumbered by
+                 the initial segment
+    gamma        2 + floor(log2 p): first dyadic block exponent
+    threshold    2**(gamma + 1): point from which coverage is guaranteed
+    alpha_exact  the growth bound alpha, an exact rational
     """
 
     n0: int
-    alpha: float
     r: int
     p: int
     gamma: int
     threshold: int
-    certified: bool
     alpha_exact: Fraction
 
 
@@ -241,12 +237,7 @@ def ratio_tail_holds(seq: Sequence[int], n0: int, alpha: Fraction) -> bool:
     return all(seq[i + 1] * den >= seq[i] * num for i in range(n0 - 1, len(seq) - 1))
 
 
-def analyze_ratio(
-    seq: Sequence[int] | NatSet,
-    alpha_hint=None,
-    *,
-    certified: bool = False,
-) -> RatioAnalysis:
+def analyze_ratio(seq: Sequence[int] | NatSet, alpha_hint=None) -> RatioAnalysis:
     """Derive the builder parameters from a strictly increasing sequence.
 
     With a hint, the hinted ratio is verified on a minimal tail and used
@@ -293,11 +284,9 @@ def analyze_ratio(
     gamma = p.bit_length() + 1            # == 2 + floor(log2 p)
     return RatioAnalysis(
         n0=n0,
-        alpha=float(alpha),
         r=r,
         p=p,
         gamma=gamma,
         threshold=1 << (gamma + 1),
-        certified=certified,
         alpha_exact=alpha,
     )

@@ -6,10 +6,14 @@ from pathlib import Path
 import pytest
 
 from addcomp import (
+    BlockBuild,
     BlockCoverResult,
     ComplementBuild,
+    GreedyTrace,
     NatSet,
+    RatioAnalysis,
     SequenceSpec,
+    analyze_ratio,
     build_complement,
     reflect,
     sumset,
@@ -21,7 +25,8 @@ MODULES = ("addcomp", *(f"addcomp.{name}" for name in (
     "builder", "cli", "cover", "errors", "greedy", "natset", "oracle", "sequences")))
 
 #: Public names that were removed; none may come back through an export list.
-REMOVED = ("translate", "translate_count_upper_bound", "HypothesisViolated", "read_elements")
+REMOVED = ("translate", "translate_count_upper_bound", "HypothesisViolated", "read_elements",
+           "DensityProfile")
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -58,6 +63,12 @@ def test_removed_members_stay_gone():
     assert not {"threshold", "horizon"} & {f.name for f in dataclasses.fields(ComplementBuild)}
     assert "_count" not in NatSet.__slots__
     assert not hasattr(SequenceSpec, "describe")
+    # results keep only what their producer decides; reports derive the rest
+    assert [f.name for f in dataclasses.fields(BlockBuild)] == [
+        "exponent", "trace", "translate_bound_ok"]
+    assert "peak_gain" not in {f.name for f in dataclasses.fields(GreedyTrace)}
+    assert not {"alpha", "certified"} & {f.name for f in dataclasses.fields(RatioAnalysis)}
+    assert "certified" not in inspect.signature(analyze_ratio).parameters
 
 
 def test_bitmask_stays_inside_natset():

@@ -30,18 +30,17 @@ def test_build_powers_small_horizon():
     assert build.coverage.ok
     a = generate(parse_spec("powers:2", 1 << 12))
     assert build.complement.isdisjoint(a)
-    assert build.analysis.certified
+    assert build.certified
 
 
 def test_build_blocks_stay_in_their_interval():
     build = build_complement(parse_spec("powers:2", 1 << 14))
     for blk in build.blocks:
-        box = from_interval(blk.base, 4 * blk.base, "(]", horizon=blk.selected.horizon)
-        assert blk.selected.issubset(box)
-        assert len(blk.trace.chosen) == len(blk.selected)
+        q = 1 << blk.exponent
+        assert all(q < x <= 4 * q for x in blk.trace.chosen)
         assert blk.translate_bound_ok
         if not blk.trace.degenerate:
-            assert len(blk.selected) <= blk.trace.bound_two_term
+            assert len(blk.trace.chosen) <= blk.trace.bound_two_term
 
 
 def test_build_each_block_covers_its_dyadic_range():
@@ -49,9 +48,9 @@ def test_build_each_block_covers_its_dyadic_range():
     build = build_complement(parse_spec("powers:2", horizon))
     a = generate(parse_spec("powers:2", horizon))
     for blk in build.blocks:
-        hi = 4 * blk.base
-        window = from_interval(2 * blk.base, hi, "(]", horizon=hi)
-        assert window.issubset(sumset(a, blk.selected, hi))
+        hi = 4 << blk.exponent
+        window = from_interval(hi // 2, hi, "(]", horizon=hi)
+        assert window.issubset(sumset(a, NatSet(blk.trace.chosen, hi), hi))
 
 
 def test_build_explicit_with_hint():
@@ -62,7 +61,7 @@ def test_build_explicit_with_hint():
     assert build.analysis.threshold == 512
     assert build.coverage.ok
     assert (build.coverage.lo, build.coverage.hi) == (512, 1 << 19)
-    assert not build.analysis.certified
+    assert not build.certified
     # the sparse early blocks collapse to the degenerate whole-interval form
     assert any(b.trace.degenerate for b in build.blocks)
 
@@ -71,7 +70,7 @@ def test_geometric_build_is_not_certified():
     # the prefix witnesses alpha = 3/2 from n0 = 26, yet the floors
     # floor((3/2)^i) break that tail bound beyond the horizon
     build = build_complement(parse_spec("geometric:c=1,alpha=3/2", 1 << 16), alpha_hint="5/4")
-    assert not build.analysis.certified
+    assert not build.certified
     far = _generate_geometric(Fraction(1), Fraction(3, 2), 2**60)
     assert not ratio_tail_holds(far, 26, Fraction(3, 2))
 
@@ -94,12 +93,10 @@ def test_block_precondition_failure_is_reported():
     analysis = analyze_ratio(a.to_list())
     forged = type(analysis)(
         n0=analysis.n0,
-        alpha=analysis.alpha,
         r=analysis.r,
         p=analysis.p,
         gamma=1,
         threshold=4,
-        certified=False,
         alpha_exact=analysis.alpha_exact,
     )
     with pytest.raises(BlockPreconditionFailed) as err:
@@ -110,7 +107,7 @@ def test_block_precondition_failure_is_reported():
 def test_block_precondition_failure_keeps_its_cause():
     # the block failure wraps thin_block's own clause instead of recounting it
     a = generate(parse_spec("powers:2", 1 << 12))
-    forged = replace(analyze_ratio(a.to_list()), gamma=1, threshold=4, certified=False)
+    forged = replace(analyze_ratio(a.to_list()), gamma=1, threshold=4)
     with pytest.raises(BlockPreconditionFailed) as err:
         _build_blocks(a, forged, 1 << 12)
     cause = err.value.__cause__
@@ -120,7 +117,7 @@ def test_block_precondition_failure_keeps_its_cause():
 
 def test_density_samples_start_at_threshold():
     build = build_complement(parse_spec("powers:2", 1 << 13))
-    ns = [s.n for s in build.density.samples]
+    ns = [s.n for s in build.density]
     assert ns[0] == build.analysis.threshold
     assert ns == [1 << j for j in range(7, 14)]
 
@@ -196,5 +193,5 @@ def test_geometric_points_shape():
 def test_density_decay_across_blocks():
     build = build_complement(parse_spec("powers:2", 1 << 15))
     assert len(build.blocks) >= 8
-    samples = build.density.samples
+    samples = build.density
     assert samples[-1].ratio <= samples[3].ratio

@@ -258,6 +258,38 @@ def test_thin_rejects_q_below_one(capsys, q, horizon):
     assert f"q >= 1: got q={q}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("horizon", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["thin", "powers:2", "--q", "8"],
+    ["thin", "powers:2", "--m", "8", "--n", "8", "--x1", "4", "--x2", "16", "--b-file", "B.set"],
+    ["oracle", "powers:2", "--m", "8", "--n", "8", "--x1", "4", "--x2", "16"],
+    ["density", "powers:2"],
+], ids=["thin-q", "thin-explicit", "oracle", "density"])
+def test_horizon_below_one_exits_2(capsys, argv, horizon):
+    # 0 is a horizon the user gave, not a missing one that defaults to 4q or x2
+    assert main([*argv, "--horizon", horizon]) == 2
+    assert f"horizon must be at least 1, got {horizon}" in capsys.readouterr().err
+
+
+def test_thin_q_rejects_explicit_mode_flags(capsys):
+    args = ["thin", "powers:2", "--q", "8", "--x2", "99", "--b-file", "nonexistent"]
+    assert main(args) == 2
+    assert "error: --q does not take --x2, --b-file" in capsys.readouterr().err
+    assert main(["thin", "powers:2", "--q", "8", "--m", "16", "--n", "16", "--x1", "8"]) == 2
+    assert "error: --q does not take --m, --n, --x1" in capsys.readouterr().err
+
+
+def test_oracle_b_file_rejects_window_flags(tmp_path, capsys):
+    b_file = tmp_path / "B.set"
+    write_set_file(b_file, [5, 6, 7, 9])
+    argv = ["oracle", "powers:2", "--horizon", "32", "--m", "8", "--n", "8",
+            "--b-file", str(b_file)]
+    assert main([*argv, "--x1", "4", "--x2", "16"]) == 2
+    assert "error: --b-file does not take --x1, --x2" in capsys.readouterr().err
+    assert main([*argv, "--x2", "16"]) == 2
+    assert "error: --b-file does not take --x2" in capsys.readouterr().err
+
+
 def test_thin_precondition_failure_exits_2(tmp_path):
     a_file = tmp_path / "A.set"
     write_set_file(a_file, NatSet([9, 10, 11], 64))
@@ -298,6 +330,26 @@ def test_density_csv(tmp_path, capsys):
     last = lines[-1].split(",")
     assert int(last[0]) == 1024
     assert int(last[1]) == 11  # powers of two up to 1024
+
+
+def test_density_estimates_use_tail_half(tmp_path, capsys):
+    # samples at 1, 5, 22 and 100; the tail half is 22 and 100
+    s_file = tmp_path / "S.set"
+    write_set_file(s_file, [1, 2, 3, 4])
+    assert main(["density", str(s_file), "--horizon", "100", "--samples", "4"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [x["n"] for x in payload["samples"]] == [1, 5, 22, 100]
+    assert payload["upper_estimate"] == 4 / 22
+    assert payload["lower_estimate"] == 0.04
+
+
+@pytest.mark.parametrize("fmt, sha256", [
+    ([], "89f433ce07d8b8ab2be352ccc0f4f14d1bae35ed73206de8d835db531f3f8d5d"),
+    (["--format", "csv"], "89516f8e6a0d8236cc8b839c3cbd82c95f106c09de27010ccf4c8b5cdb26376c"),
+], ids=["json", "csv"])
+def test_density_output_bytes_are_pinned(capsys, fmt, sha256):
+    assert main(["density", "powers:2", "--horizon", "1048576", "--samples", "32", *fmt]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
 
 def test_density_json_stdout(capsys):

@@ -99,7 +99,7 @@ def test_parse_file_spec(tmp_path):
 
 def test_analyze_powers_of_two():
     an = analyze_ratio(generate(parse_spec("powers:2", 1 << 20)))
-    assert (an.n0, an.alpha, an.r, an.p, an.gamma, an.threshold) == (1, 2.0, 2, 17, 6, 128)
+    assert (an.n0, an.alpha_exact, an.r, an.p, an.gamma, an.threshold) == (1, 2, 2, 17, 6, 128)
 
 
 def test_analyze_composites_fails():
@@ -180,12 +180,6 @@ def test_determinism():
     seq = generate(parse_spec("fib", 10**6)).to_list()
     assert analyze_ratio(seq) == analyze_ratio(seq)
     assert generate(parse_spec("fib", 10**6)) == generate(parse_spec("fib", 10**6))
-
-
-def test_certified_flag_passthrough():
-    seq = generate(parse_spec("powers:2", 1 << 10)).to_list()
-    assert analyze_ratio(seq).certified is False
-    assert analyze_ratio(seq, certified=True).certified is True
 
 
 def test_hint_near_one_fails_fast():
