@@ -48,6 +48,16 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _range_horizon(hi: int, horizon: int | None) -> int:
+    """A's horizon for a check up to hi: --horizon raised to hi, or hi (at least 1) without it.
+
+    A --horizon below 1 is passed on as given, so generate rejects it as in every command.
+    """
+    if horizon is None:
+        return max(hi, 1)
+    return horizon if horizon < 1 else max(hi, horizon)
+
+
 def _emit(path: str | None, text: str) -> None:
     """Write text plus a newline to path, or print it when no path is given."""
     if path:
@@ -162,7 +172,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_verify(args) -> int:
     lo, hi = _parse_range(args.range)
-    a = generate(parse_spec(args.a, max(hi, args.horizon or 1)))
+    a = generate(parse_spec(args.a, _range_horizon(hi, args.horizon)))
     # Disjointness is checked up to A's horizon, coverage only up to hi.
     b = read_set_file(args.b_file, a.horizon)
     if not b.isdisjoint(a):
@@ -237,7 +247,7 @@ def _cmd_density(args) -> int:
 
 def _cmd_gap(args) -> int:
     lo, hi = _parse_range(args.range)
-    a = generate(parse_spec(args.a, max(hi, args.horizon or 1)))
+    a = generate(parse_spec(args.a, _range_horizon(hi, args.horizon)))
     gaps = gap_detector(a, lo, hi)
     if not gaps:
         print(f"no gaps in ({lo}, {hi}]: every point splits as (element) + (non-element)")

@@ -6,9 +6,10 @@ a subset S that still covers the window, always taking the candidate whose
 translate covers the most still-uncovered targets (ties broken by smallest
 element).  greedy_cover computes every candidate's gain at once, one lane
 per candidate inside a big integer, and re-checks only the candidates at
-the top gain, each by one C-level gather over zero-padded flags; gains only
-shrink, so that visits candidates in exactly this order.  The trace
-records the chosen order, the per-step marginal gains, and the size bounds.
+the top gain, each by one C-level gather over zero-padded flags indexed
+from B's smallest candidate; gains only shrink, so that visits candidates
+in exactly this order.  The trace records the chosen order and the
+per-step marginal gains, each an array("q"), and the size bounds.
 
 The quantity controlling the bound is the depth
     depth = |A n [1, m - x1)| - (x2 - x1 - |B|),
@@ -34,6 +35,7 @@ scans A once, below m + n.  builder re-verifies the complement from scratch.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -116,8 +118,8 @@ class GreedyTrace:
     holds but monotonicity may not.
     """
 
-    chosen: tuple[int, ...]
-    gains: tuple[int, ...]
+    chosen: array  # array("q"), in selection order
+    gains: array  # array("q"), one per entry of chosen
     gain_counts: Mapping[int, int]
     depth: int
     gain_cutoff: int
@@ -126,34 +128,52 @@ class GreedyTrace:
     degenerate: bool
 
 
-def _target_flags(a: NatSet, m: int, n: int) -> tuple[list[int], bytearray, Callable]:
+def _target_flags(a: NatSet, m: int, n: int, base: int) -> tuple[list[int], bytearray, Callable]:
     """(a_list, flags, read): a_list is A below m + n, scanned no further, as
-    no larger element lands a sum in (m, m+n]; flags[t] == 1 exactly for the
-    targets t; and sum(read(memoryview(flags)[b:])) is the gain of b <= m + n.
+    no larger element lands a sum in (m, m+n]; flags[t - base] == 1 exactly
+    for the targets t above base; and sum(read(memoryview(flags)[b - base:]))
+    is the gain of a candidate b in [base, m + n].
 
-    Zero padding of max(a_list) bytes above m + n keeps every read in range
-    with no test of the window.  itemgetter returns a bare int for one index
-    and needs at least one, so shorter lists are read through a list.
+    The flags start at base <= m + n: a target at or below base lies in no
+    translate A + b with b >= base, so no byte is spent on it.  Zero padding
+    of max(a_list) bytes above m + n keeps every read in range with no test
+    of the window.  itemgetter returns a bare int for one index and needs at
+    least one, so shorter lists are read through a list.
     """
-    a_list = list(takewhile(lambda x: x < m + n, a))
-    flags = bytearray(m + 1) + b"\x01" * n + bytes(max(a_list, default=0))
+    end = m + n
+    a_list = list(takewhile(lambda x: x < end, a))
+    flags = bytearray(end + 1 - base + max(a_list, default=0))
+    first = max(m + 1 - base, 0)
+    flags[first:end + 1 - base] = b"\x01" * (end + 1 - base - first)
     return a_list, flags, itemgetter(*a_list) if len(a_list) > 1 else lambda v: [v[x] for x in a_list]
 
 
-def greedy_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[list[int], list[int]]:
+def greedy_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[array, array]:
     """Run the greedy selection alone; no thinning-bound preconditions.
 
     Requires only that the translates of B cover (m, m+n].  Returns the
-    chosen candidates in selection order together with their marginal gains.
+    chosen candidates in selection order together with their marginal gains,
+    each an array("q").
 
     Gains live in lanes of `width` bytes, the fewest of 1, 2, 4 or 8 that
     hold len(a_list), the largest possible gain, so no lane carries into the
     next (SIMD within a register).  Lane i of F is the uncovered flag of
-    target lo + i, lo being B's smallest element; lane i of the sum of
-    F >> (8 * width * x) over the relevant x in A is then the gain of
+    target lo + i, lo being B's smallest element, and the flags are indexed
+    from lo too, so lane offset // width is the flag index.  Lane i of the
+    sum of F >> (8 * width * x) over the relevant x in A is then the gain of
     candidate lo + i.  B's point_flags, spread the same way and multiplied
     by 2^(8 * width) - 1, zero the lanes outside B.
     Candidates above m + n gain nothing and get no lane.
+
+    Each pass reads F from one bytes copy of the flags; wider lanes spread
+    it into a fresh bytearray that is dropped once F exists.  The sum is
+    taken in Horner form: t = F, then for each gap d between consecutive
+    elements of a_list, largest first, t = (t >> 8 * width * d) + F, and
+    last t >>= 8 * width * a_list[0].  This is exact lane by lane: no
+    partial sum reaches 256^width in any lane, so adding never carries
+    across lanes, and right shifts by whole lanes then distribute over sums
+    and compose.  Besides the flags and the member mask, at most three
+    lane-sized ints (F, t and the next t) are alive at once.
 
     g steps down from len(a_list).  At each g the lanes equal to g are
     walked upwards and each candidate's gain is re-read by one gather over
@@ -165,43 +185,58 @@ def greedy_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[list[int], list[
     lies ahead in the walk, so the next one found still at g is the
     smallest; and once the walk ends none is at g, so the top gain is below g.
     """
-    a_list, flags, read = _target_flags(a, m, n)
     end = m + n
-    width = next(w for w in (1, 2, 4, 8) if len(a_list) < 1 << 8 * w)
     # With no candidate in [1, m+n], one lane for m+n itself, which gains nothing.
     lo = min(b.min_element() or end, end)
-    # Lanes are little-endian bytes throughout, whatever the host's byte order.
-    spread = bytearray((end - lo + 1) * width)
+    a_list, flags, read = _target_flags(a, m, n, lo)
+    width = next(w for w in (1, 2, 4, 8) if len(a_list) < 1 << 8 * w)
+    size = (end - lo + 1) * width
+    gaps = [8 * width * (y - x) for x, y in zip(a_list, a_list[1:])][::-1]
+
+    def spread(byte_flags: bytes) -> int:
+        # Lanes are little-endian bytes throughout, whatever the host's byte order.
+        # int.from_bytes copies anything but bytes, so one-byte lanes are read as given.
+        if width > 1:
+            buf = bytearray(size)
+            buf[::width] = byte_flags
+            byte_flags = buf
+        return int.from_bytes(byte_flags, "little")
+
     # Lanes hold 0 or 1, so the product fills each lane of B with ones and carries nothing.
-    spread[::width] = point_flags(b, lo, end)
-    members = int.from_bytes(spread, "little") * ((1 << 8 * width) - 1)
+    members = spread(point_flags(b, lo, end)) * ((1 << 8 * width) - 1)
 
     view = memoryview(flags)
     uncovered = n
-    chosen: list[int] = []
-    gains: list[int] = []
+    chosen = array("q")
+    gains = array("q")
     g = len(a_list)
     stale = True
     while uncovered:
         if not g:
             raise CoverFailed("candidates exhausted with targets still uncovered")
         if stale:
-            lanes = b""  # f, the lane sum and the lanes are each as long as spread: keep one
-            spread[::width] = flags[lo:end + 1]
-            f = int.from_bytes(spread, "little")
-            lanes = (sum(f >> 8 * width * x for x in a_list) & members).to_bytes(len(spread), "little")
+            lanes = b""  # drop the old lanes before the new ones are summed
+            f = spread(bytes(view[:end + 1 - lo]))
+            t = f
+            for shift in gaps:
+                t >>= shift
+                t += f
             del f
+            t >>= 8 * width * a_list[0]
+            t &= members
+            lanes = t.to_bytes(size, "little")
+            del t
             stale = False
         lane = g.to_bytes(width, "little")
         pos = lanes.find(lane)
         while pos >= 0 and uncovered:
             if not pos % width:  # a lane, not a match across two lanes
-                b_el = lo + pos // width
-                if sum(read(view[b_el:])) == g:
+                i = pos // width
+                if sum(read(view[i:])) == g:
                     for x in a_list:
-                        flags[b_el + x] = 0
+                        flags[i + x] = 0
                     uncovered -= g
-                    chosen.append(b_el)
+                    chosen.append(lo + i)
                     gains.append(g)
                     stale = True
             pos = lanes.find(lane, pos + 1)
@@ -255,22 +290,24 @@ def greedy_thin(inst: GreedyInstance) -> tuple[NatSet, GreedyTrace]:
     cutoff = choose_gain_cutoff(depth)
     two_term = closed_form = None
     if depth < DEGENERATE_DEPTH:
-        chosen = inst.b.to_list()
-        a_list, flags, read = _target_flags(inst.a, inst.m, inst.n)
+        chosen = array("q", inst.b)
+        # B lies in (x1, x2], so x1 is a base below every candidate
+        a_list, flags, read = _target_flags(inst.a, inst.m, inst.n, inst.x1)
         view = memoryview(flags)
-        gains = []
+        gains = array("q")
         for b_el in chosen:
-            b_el = min(b_el, inst.m + inst.n)  # A + (m + n) covers nothing, like any A + b above it
-            gains.append(sum(read(view[b_el:])))
+            # A + (m + n) covers nothing, like any A + b above it
+            i = min(b_el, inst.m + inst.n) - inst.x1
+            gains.append(sum(read(view[i:])))
             for x in a_list:
-                flags[b_el + x] = 0
+                flags[i + x] = 0
     else:
         chosen, gains = greedy_cover(inst.a, inst.b, inst.m, inst.n)
         two_term = two_term_bound(len(inst.b), depth, inst.n, cutoff)
         closed_form = closed_form_bound(len(inst.b), depth, inst.n, cutoff)
     trace = GreedyTrace(
-        chosen=tuple(chosen),
-        gains=tuple(gains),
+        chosen=chosen,
+        gains=gains,
         gain_counts=dict(Counter(g for g in gains if g)),
         depth=depth,
         gain_cutoff=cutoff,

@@ -271,6 +271,17 @@ def test_horizon_below_one_exits_2(capsys, argv, horizon):
     assert f"horizon must be at least 1, got {horizon}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("horizon", ["0", "-7"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "powers:2", "B.set", "--range", "2..6"],
+    ["gap", "powers:2", "--range", "2..20"],
+], ids=["verify", "gap"])
+def test_range_commands_reject_horizon_below_one(capsys, argv, horizon):
+    # not raised to the range's upper end, which would run the check at hi
+    assert main([*argv, "--horizon", horizon]) == 2
+    assert f"horizon must be at least 1, got {horizon}" in capsys.readouterr().err
+
+
 def test_thin_q_rejects_explicit_mode_flags(capsys):
     args = ["thin", "powers:2", "--q", "8", "--x2", "99", "--b-file", "nonexistent"]
     assert main(args) == 2

@@ -1,5 +1,6 @@
 import math
 import random
+from array import array
 import tracemalloc
 from fractions import Fraction
 
@@ -31,14 +32,19 @@ from addcomp.oracle import _greedy_cover_reference
 from conftest import random_greedy_instance
 
 
+def _lists(pair):
+    """greedy_cover's (chosen, gains) arrays as lists, to compare by value."""
+    return tuple(list(x) for x in pair)
+
+
 def test_selection_worked_example():
     # translate gains: 3 and 7 cover one target, 4/5/6 cover two; the smallest
     # of the tied maxima goes first, then one more pick finishes the window
     a = NatSet([1, 2], 8)
     b = NatSet([3, 4, 5, 6, 7], 8)
     chosen, gains = greedy_cover(a, b, 4, 4)
-    assert chosen == [4, 6]
-    assert gains == [2, 2]
+    assert list(chosen) == [4, 6]
+    assert list(gains) == [2, 2]
 
 
 def test_selection_matches_full_recompute():
@@ -47,7 +53,7 @@ def test_selection_matches_full_recompute():
     for _ in range(200):
         inst = random_greedy_instance(rng, min_depth=1)
         checked += 1
-        assert greedy_cover(inst.a, inst.b, inst.m, inst.n) == _greedy_cover_reference(
+        assert _lists(greedy_cover(inst.a, inst.b, inst.m, inst.n)) == _greedy_cover_reference(
             inst.a, inst.b, inst.m, inst.n
         )
     assert checked == 200
@@ -61,7 +67,7 @@ def test_selection_matches_full_recompute_on_blocks(spec):
     for i in range(analyze_ratio(a.to_list()).gamma, 10):
         q = 1 << i
         b = block_cover(a, q, 2 * q, 4 * q).candidate_set
-        assert greedy_cover(a, b, 2 * q, 2 * q) == _greedy_cover_reference(a, b, 2 * q, 2 * q)
+        assert _lists(greedy_cover(a, b, 2 * q, 2 * q)) == _greedy_cover_reference(a, b, 2 * q, 2 * q)
         checked += 1
     assert checked >= 2
 
@@ -90,14 +96,14 @@ def test_selection_matches_full_recompute_on_wide_lanes():
         end = rng.randint(900, 1300)
         instances.append(_wide_instance(rng, rng.randint(end // 2, 3 * end // 4), end, end + 100))
     for a, b, m, n in instances:
-        assert greedy_cover(a, b, m, n) == _greedy_cover_reference(a, b, m, n)
+        assert _lists(greedy_cover(a, b, m, n)) == _greedy_cover_reference(a, b, m, n)
     assert [count_in(a, 1, m + n, "[)") for a, _, m, n in instances[:2]] == [255, 256]
     assert all(count_in(a, 1, m + n, "[)") > 256 for a, _, m, n in instances[2:])
 
 
 def _cover_outcome(cover, a, b, m, n):
     try:
-        return cover(a, b, m, n)
+        return _lists(cover(a, b, m, n))
     except CoverFailed:
         return "CoverFailed"
 
@@ -121,7 +127,7 @@ def test_selection_matches_full_recompute_with_few_relevant_elements(relevant):
     assert outcomes == ({True} if relevant == 0 else {True, False})
     # no targets and an empty A
     empty = NatSet([], 10)
-    assert greedy_cover(empty, NatSet([3, 4], 10), 5, 0) == ([], [])
+    assert _lists(greedy_cover(empty, NatSet([3, 4], 10), 5, 0)) == ([], [])
     assert _greedy_cover_reference(empty, NatSet([3, 4], 10), 5, 0) == ([], [])
 
 
@@ -130,10 +136,10 @@ def test_translates_read_into_the_zero_padding():
     # max(a_list) - 1 past m + n, and the replay reads 10 + 9, the last padding byte
     a = NatSet([1, 9], 20)
     b = NatSet([6, 7, 8, 9, 10], 20)
-    assert greedy_cover(a, b, 8, 2) == _greedy_cover_reference(a, b, 8, 2) == ([8, 9], [1, 1])
+    assert _lists(greedy_cover(a, b, 8, 2)) == _greedy_cover_reference(a, b, 8, 2) == ([8, 9], [1, 1])
     _, trace = greedy_thin(GreedyInstance(a=a, b=b, m=8, n=2, x1=5, x2=10))
     assert trace.degenerate
-    assert trace.gains == (0, 0, 1, 1, 0)
+    assert list(trace.gains) == [0, 0, 1, 1, 0]
 
 
 def _replayed_gains(a, chosen, m, n):
@@ -156,7 +162,7 @@ def test_degenerate_replay_matches_brute_force_gains():
             continue
         _, trace = greedy_thin(inst)
         assert trace.degenerate
-        assert trace.chosen == tuple(inst.b.to_list())
+        assert list(trace.chosen) == inst.b.to_list()
         assert list(trace.gains) == _replayed_gains(inst.a, trace.chosen, inst.m, inst.n)
         above_window += any(b_el > inst.m + inst.n for b_el in trace.chosen)
         checked += 1
@@ -177,6 +183,34 @@ def test_selection_memory_on_a_block():
     assert peak < 2**20, peak
 
 
+@pytest.mark.parametrize("q", [1 << 14, 1 << 16])
+def test_selection_memory_is_a_few_lanes(q):
+    # the flags, the member mask and at most three lane-sized ints of 3q
+    # one-byte lanes each: the peak above the start stays below 9 such lanes
+    a = generate(parse_spec("powers:2", 4 * q))
+    b = block_cover(a, q, 2 * q, 4 * q).candidate_set
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        greedy_cover(a, b, 2 * q, 2 * q)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 3 * q, peak / (3 * q)
+
+
+def test_selections_are_int64_arrays():
+    a = generate(parse_spec("powers:2", 1 << 10))
+    b = block_cover(a, 64, 128, 256).candidate_set
+    for returned in greedy_cover(a, b, 128, 128):
+        assert isinstance(returned, array) and returned.typecode == "q"
+    for q in (8, 64):  # degenerate, then thinned
+        _, trace = thin_block(a, q)
+        assert trace.degenerate == (q == 8)
+        for field in (trace.chosen, trace.gains):
+            assert isinstance(field, array) and field.typecode == "q"
+
+
 def test_build_traces_are_monotone_and_exact():
     build = build_complement(parse_spec("powers:2", 1 << 16))
     thinned = [blk for blk in build.blocks if not blk.trace.degenerate]
@@ -191,8 +225,8 @@ def test_singleton_candidate_is_forced():
     # a single candidate whose translate spans the window is taken whole
     a = NatSet([1, 2, 3, 4], 10)
     chosen, gains = greedy_cover(a, NatSet([5], 10), 5, 4)
-    assert chosen == [5]
-    assert gains == [4]
+    assert list(chosen) == [5]
+    assert list(gains) == [4]
 
 
 def test_uncoverable_window_is_detected():
@@ -202,7 +236,7 @@ def test_uncoverable_window_is_detected():
         with pytest.raises(CoverFailed, match="candidates exhausted with targets still uncovered"):
             greedy_cover(a, b, 8, 4)
     # with no targets there is nothing to exhaust
-    assert greedy_cover(a, NatSet([], 20), 8, 0) == ([], [])
+    assert _lists(greedy_cover(a, NatSet([], 20), 8, 0)) == ([], [])
 
 
 def test_precondition_clauses_are_named():
@@ -335,7 +369,7 @@ def test_degenerate_instance_keeps_candidates():
     assert trace.degenerate
     assert trace.bound_two_term is None
     assert sum(trace.gains) == 10
-    assert trace.chosen == tuple(b.to_list())
+    assert list(trace.chosen) == b.to_list()
 
 
 def test_depth_matches_hand_count():
