@@ -39,23 +39,19 @@ _EXIT_CODES = {CoverFailed: 1, NoCover: 1, ValueError: 2, OSError: 2, AddcompErr
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    lo_text, sep, hi_text = text.partition("..")
-    if not sep:
-        raise ValueError(f"range must look like LO..HI, got {text!r}")
-    lo, hi = int(lo_text), int(hi_text)
+    lo_text, _, hi_text = text.partition("..")
+    try:
+        lo, hi = int(lo_text), int(hi_text)
+    except ValueError:
+        raise ValueError(f"range must look like LO..HI, got {text!r}") from None
     if hi < lo:
         raise ValueError(f"range upper end {hi} below lower end {lo}")
     return lo, hi
 
 
-def _range_horizon(hi: int, horizon: int | None) -> int:
-    """A's horizon for a check up to hi: --horizon raised to hi, or hi (at least 1) without it.
-
-    A --horizon below 1 is passed on as given, so generate rejects it as in every command.
-    """
-    if horizon is None:
-        return max(hi, 1)
-    return horizon if horizon < 1 else max(hi, horizon)
+def _base_set(args, default=None) -> NatSet:
+    """A from args.a at --horizon when given, else at the command's default; never raised."""
+    return generate(parse_spec(args.a, default if args.horizon is None else args.horizon))
 
 
 def _emit(path: str | None, text: str) -> None:
@@ -172,7 +168,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_verify(args) -> int:
     lo, hi = _parse_range(args.range)
-    a = generate(parse_spec(args.a, _range_horizon(hi, args.horizon)))
+    a = _base_set(args, max(hi, 1))
     # Disjointness is checked up to A's horizon, coverage only up to hi.
     b = read_set_file(args.b_file, a.horizon)
     if not b.isdisjoint(a):
@@ -191,7 +187,7 @@ def _cmd_thin(args) -> int:
         _reject_flags(args, ("m", "n", "x1", "x2", "b_file"), "--q")
         if args.q < 1:  # checked before 4q becomes A's horizon
             raise PreconditionViolated("q >= 1", f"got q={args.q}")
-        a = generate(parse_spec(args.a, 4 * args.q if args.horizon is None else args.horizon))
+        a = _base_set(args, 4 * args.q)
         selected, trace = thin_block(a, args.q)
         context = {"source": args.a, "q": args.q, "m": 2 * args.q, "n": 2 * args.q,
                    "x1": args.q, "x2": 4 * args.q}
@@ -200,7 +196,7 @@ def _cmd_thin(args) -> int:
                   if getattr(args, name) is None]
         if needed:
             raise ValueError(f"explicit mode needs --{', --'.join(needed)} (or use --q)")
-        a = generate(parse_spec(args.a, args.x2 if args.horizon is None else args.horizon))
+        a = _base_set(args, args.x2)
         if a.horizon < args.x2:  # membership in A is unknown on part of (x1, x2]
             raise PreconditionViolated("horizon >= x2", f"horizon {a.horizon} < {args.x2}")
         b = read_set_file(args.b_file)
@@ -221,7 +217,7 @@ def _cmd_thin(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    s = generate(parse_spec(args.set, args.horizon))
+    s = _base_set(args)
     points = geometric_points(s.horizon, args.samples)
     samples = density_profile(s, points)
     if args.format == "csv":
@@ -235,7 +231,7 @@ def _cmd_density(args) -> int:
             args.out,
             {
                 "tool_version": __version__,
-                "set": args.set,
+                "set": args.a,
                 "horizon": s.horizon,
                 "upper_estimate": max(tail),
                 "lower_estimate": min(tail),
@@ -247,7 +243,7 @@ def _cmd_density(args) -> int:
 
 def _cmd_gap(args) -> int:
     lo, hi = _parse_range(args.range)
-    a = generate(parse_spec(args.a, _range_horizon(hi, args.horizon)))
+    a = _base_set(args, max(hi, 1))
     gaps = gap_detector(a, lo, hi)
     if not gaps:
         print(f"no gaps in ({lo}, {hi}]: every point splits as (element) + (non-element)")
@@ -263,14 +259,14 @@ def _cmd_gap(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.b_file is not None:
         _reject_flags(args, ("x1", "x2"), "--b-file")
-    a = generate(parse_spec(args.a, args.x2 if args.horizon is None else args.horizon))
+    elif args.x1 is None or args.x2 is None:
+        raise ValueError("provide --b-file or both --x1 and --x2")
+    a = _base_set(args, args.x2)
     if args.b_file is not None:
         b = read_set_file(args.b_file)
         _require_disjoint(a, b)
-    elif args.x1 is not None and args.x2 is not None:
-        b = non_elements(a, args.x1, args.x2)
     else:
-        raise ValueError("provide --b-file or both --x1 and --x2")
+        b = non_elements(a, args.x1, args.x2)
     optimal, size = minimal_cover(a, b, args.m, args.n)
     chosen, gains = greedy_cover(a, b, args.m, args.n)
     payload = {
@@ -292,8 +288,8 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _add_common_set_args(parser, name="a"):
-    parser.add_argument(name, help="sequence spec or set file")
+def _add_common_set_args(parser):
+    parser.add_argument("a", help="sequence spec or set file")
     parser.add_argument("--horizon", type=int, default=None, help="truncation point")
 
 
@@ -332,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_thin)
 
     p = sub.add_parser("density", help="sample |S n [1,n]| / n at geometric points")
-    _add_common_set_args(p, name="set")
+    _add_common_set_args(p)
     p.add_argument("--samples", type=int, default=32)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)

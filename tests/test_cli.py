@@ -282,6 +282,25 @@ def test_range_commands_reject_horizon_below_one(capsys, argv, horizon):
     assert f"horizon must be at least 1, got {horizon}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["verify", "powers:2", "B.set", "--range", "2..6", "--horizon", "5"],
+     "hi=6 beyond a horizon (a: 5, b: 6); exactness would be lost"),
+    (["gap", "powers:2", "--range", "2..20", "--horizon", "7"], "hi=20 beyond horizon 7"),
+], ids=["verify", "gap"])
+def test_range_commands_keep_a_horizon_below_hi(tmp_path, monkeypatch, capsys, argv, err):
+    # a given horizon is never raised to hi, so a check past it exits 2 rather than run at hi
+    monkeypatch.chdir(tmp_path)
+    write_set_file("B.set", [3, 5])  # misses 3 of (2, 6] at hi
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("text", ["2..x", "x..5", "5", "1..2..3"])
+def test_range_must_be_two_integers(capsys, text):
+    assert main(["gap", "powers:2", "--range", text]) == 2
+    assert capsys.readouterr().err == f"error: range must look like LO..HI, got {text!r}\n"
+
+
 def test_thin_q_rejects_explicit_mode_flags(capsys):
     args = ["thin", "powers:2", "--q", "8", "--x2", "99", "--b-file", "nonexistent"]
     assert main(args) == 2
@@ -388,6 +407,13 @@ def test_oracle_command(tmp_path, capsys):
     payload = json.loads(report_path.read_text())
     assert payload["optimal_size"] <= payload["greedy_size"]
     assert payload["greedy_matches_optimal"] == (payload["optimal_size"] == payload["greedy_size"])
+
+
+@pytest.mark.parametrize("window", [[], ["--x1", "4"]], ids=["none", "x1-only"])
+def test_oracle_names_the_missing_window(capsys, window):
+    # checked before A is generated, whose default horizon --x2 is missing too
+    assert main(["oracle", "powers:2", "--m", "8", "--n", "8", *window]) == 2
+    assert capsys.readouterr().err == "error: provide --b-file or both --x1 and --x2\n"
 
 
 def test_oracle_rejects_horizon_below_x2(capsys):

@@ -28,6 +28,17 @@ def test_every_family_has_a_spec():
         assert parse_spec(params.get(family, family), 64).family == family
 
 
+@pytest.mark.parametrize("horizon", [0, -1, -2])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_generate_rejects_horizon_below_one(family, horizon):
+    # not a copy of NatSet's check: on a negative horizon the prime sieve and
+    # isqrt would fail first, with messages that name no horizon
+    params = {"powers": "powers:2", "geometric": "geometric:c=1,alpha=3/2"}
+    spec = parse_spec(params.get(family, family), horizon)
+    with pytest.raises(ValueError, match=f"^horizon must be at least 1, got {horizon}$"):
+        generate(spec)
+
+
 def test_composites_by_sieve():
     assert generate(parse_spec("composites", 12)).to_list() == [4, 6, 8, 9, 10, 12]
 
