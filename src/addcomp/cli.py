@@ -169,12 +169,13 @@ def _cmd_build(args) -> int:
 def _cmd_verify(args) -> int:
     lo, hi = _parse_range(args.range)
     a = _base_set(args, max(hi, 1))
-    # Disjointness is checked up to A's horizon, coverage only up to hi.
+    # Disjointness is checked up to A's horizon, coverage only up to hi; B is
+    # clipped to hi but never extended past the horizon it was read at.
     b = read_set_file(args.b_file, a.horizon)
     if not b.isdisjoint(a):
         _print_points((a & b).to_list(), label="B meets A in")
         return 1
-    cert = verify_cover(a, b.with_horizon(max(hi, 1)), lo, hi)
+    cert = verify_cover(a, b.with_horizon(min(max(hi, 1), a.horizon)), lo, hi)
     if cert.ok:
         print(f"coverage ({lo}, {hi}] verified; a={cert.a_digest[:12]} b={cert.b_digest[:12]}")
         return 0

@@ -8,6 +8,8 @@ exact on [1, horizon]; results that would land outside are clipped, and the
 clipping is part of each operation's contract.  The dense form makes the
 hot paths (sumset, interval counting) single big-integer shifts and masks;
 sumset also stops shifting once the clipped result can no longer grow.
+point_flags and from_flags convert between a set and one byte per point,
+both at C speed, so a sieve's flags become a set with no Python loop.
 
 NatSet values are immutable after construction, so any number of threads
 may read them concurrently.
@@ -25,6 +27,7 @@ __all__ = [
     "sumset",
     "non_elements",
     "point_flags",
+    "from_flags",
     "reflect",
     "count_in",
     "density_profile",
@@ -38,8 +41,9 @@ INTERVAL_KINDS = ("()", "(]", "[)", "[]")
 # For each byte value, the offsets of its set bits; used to enumerate members.
 _BYTE_OFFSETS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
-# Maps the digits of a binary string to the bytes 0 and 1.
+# Maps the digits of a binary string to the bytes 0 and 1, and back.
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_BYTE_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _clipped_bounds(lo: int, hi: int, kind: str, horizon: int) -> tuple[int, int]:
@@ -235,6 +239,22 @@ def point_flags(a: NatSet, lo: int, hi: int) -> bytes:
     count = hi - lo + 1
     bits = (a._mask >> lo) & ((1 << count) - 1)
     return format(bits, f"0{count}b")[::-1].encode("ascii").translate(_BIT_BYTES)
+
+
+def from_flags(flags: bytes, horizon: int) -> NatSet:
+    """The points i with flags[i] == 1; the inverse of point_flags(a, 0, horizon).
+
+    flags may be shorter than horizon + 1; the points above it are left out.
+    Every check and the mask itself run at C speed.
+    """
+    if len(flags) > horizon + 1:
+        raise ValueError(f"element {len(flags) - 1} exceeds horizon {horizon}")
+    bad = flags.translate(None, b"\x00\x01")
+    if bad:
+        raise ValueError(f"flags must be bytes 0 or 1, got {bad[0]}")
+    if flags[:1] == b"\x01":
+        raise ValueError("elements must be positive naturals, got 0")
+    return NatSet._from_mask(int(flags.translate(_BYTE_BITS)[::-1] or b"0", 2), horizon)
 
 
 def reflect(u: int, b: NatSet, horizon: int) -> NatSet:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import IndexOutOfRange, RatioNotSatisfied
-from .natset import NatSet, read_set_file
+from .natset import NatSet, from_flags, non_elements, read_set_file
 
 __all__ = [
     "ALPHA_GRID",
@@ -118,7 +118,7 @@ def _prime_flags(limit: int) -> bytearray:
     """flags[i] == 1 iff i is prime, for 0 <= i <= limit."""
     flags = bytearray(limit + 1)
     if limit >= 2:
-        flags[2:] = b"\x01" * (limit - 1)
+        flags[2:] = bytearray(b"\x01") * (limit - 1)  # a bytes value is copied first
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
@@ -149,7 +149,11 @@ def _generate_geometric(c: Fraction, alpha: Fraction, horizon: int) -> list[int]
 
 
 def generate(spec: SequenceSpec) -> NatSet:
-    """Realize the family as a NatSet on [1, spec.horizon]."""
+    """Realize the family as a NatSet on [1, spec.horizon].
+
+    primes and composites (the non-primes in (3, horizon]) come straight
+    from the sieve's flags, with no Python step per element.
+    """
     h = spec.horizon
     if h < 1:
         raise ValueError(f"horizon must be at least 1, got {h}")
@@ -179,12 +183,9 @@ def generate(spec: SequenceSpec) -> NatSet:
             vals.append(x)
             x, y = y, x + y
         return NatSet(vals, h)
-    if family == "primes":
-        flags = _prime_flags(h)
-        return NatSet((i for i in range(2, h + 1) if flags[i]), h)
-    if family == "composites":
-        flags = _prime_flags(h)
-        return NatSet((i for i in range(4, h + 1) if not flags[i]), h)
+    if family in ("primes", "composites"):
+        primes = from_flags(_prime_flags(h), h)
+        return primes if family == "primes" else non_elements(primes, 3, h)
     if family == "squares":
         return NatSet((i * i for i in range(1, math.isqrt(h) + 1)), h)
     raise ValueError(f"unknown sequence family {family!r}")

@@ -284,7 +284,7 @@ def test_range_commands_reject_horizon_below_one(capsys, argv, horizon):
 
 @pytest.mark.parametrize("argv, err", [
     (["verify", "powers:2", "B.set", "--range", "2..6", "--horizon", "5"],
-     "hi=6 beyond a horizon (a: 5, b: 6); exactness would be lost"),
+     "hi=6 beyond a horizon (a: 5, b: 5); exactness would be lost"),
     (["gap", "powers:2", "--range", "2..20", "--horizon", "7"], "hi=20 beyond horizon 7"),
 ], ids=["verify", "gap"])
 def test_range_commands_keep_a_horizon_below_hi(tmp_path, monkeypatch, capsys, argv, err):

@@ -8,6 +8,7 @@ from addcomp import (
     NatSet,
     count_in,
     density_profile,
+    from_flags,
     from_interval,
     generate,
     non_elements,
@@ -99,6 +100,30 @@ def test_point_flags_match_element_by_element():
         assert point_flags(a, lo, hi) == want, (lo, hi)
     assert point_flags(a, 40, 39) == b""
     assert point_flags(NatSet([], 10), 1, 10) == bytes(10)
+
+
+@pytest.mark.parametrize("h", [1, 7, 8, 9, 4096])
+def test_from_flags_inverts_point_flags(h):
+    rng = random.Random(h)
+    for density in (0.0, 0.3, 0.7, 1.0):
+        a = random_natset(rng, h, density)
+        assert from_flags(point_flags(a, 0, h), h) == a, density
+
+
+def test_from_flags_leaves_out_points_above_shorter_flags():
+    assert from_flags(b"\x00\x01\x00\x01", 10) == NatSet([1, 3], 10)
+    assert from_flags(b"", 10) == NatSet([], 10)
+    assert from_flags(bytearray(b"\x00\x01"), 1) == NatSet([1], 1)
+
+
+@pytest.mark.parametrize("flags, clause", [
+    (b"\x01\x01", "elements must be positive naturals, got 0"),
+    (b"\x00\x01\x02", "flags must be bytes 0 or 1, got 2"),
+    (bytes(7), "element 6 exceeds horizon 5"),  # len(flags) == h + 2
+])
+def test_from_flags_rejects_bad_flags(flags, clause):
+    with pytest.raises(ValueError, match=f"^{clause}$"):
+        from_flags(flags, 5)
 
 
 @pytest.mark.parametrize("width", [1, 2, 4, 8])
