@@ -12,9 +12,8 @@ decays; all three facts are re-verified exactly, never assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BlockPreconditionFailed, CoverFailed, PreconditionViolated
 from .greedy import GreedyTrace, thin_block
@@ -35,8 +34,7 @@ __all__ = [
 _CERTIFIED_FAMILIES = ("powers",)
 
 
-@dataclass(frozen=True)
-class BlockBuild:
+class BlockBuild(NamedTuple):
     """The thinned block q = 2^exponent: trace.chosen is its selection from (q, 4q] minus A."""
 
     exponent: int
@@ -44,8 +42,7 @@ class BlockBuild:
     translate_bound_ok: bool  # |A n (q, 4q]| <= r, re-checked at runtime
 
 
-@dataclass(frozen=True)
-class CoverCertificate:
+class CoverCertificate(NamedTuple):
     """Machine-checkable claim that every n in (lo, hi] lies in A + B.
 
     ok holds exactly when missing is empty; the digests bind the claim to
@@ -60,8 +57,7 @@ class CoverCertificate:
     b_digest: str
 
 
-@dataclass(frozen=True)
-class ComplementBuild:
+class ComplementBuild(NamedTuple):
     """Everything produced by one pipeline run.
 
     certified is True when the family guarantees the ratio analytically,

@@ -262,6 +262,8 @@ def _cmd_oracle(args) -> int:
         _reject_flags(args, ("x1", "x2"), "--b-file")
     elif args.x1 is None or args.x2 is None:
         raise ValueError("provide --b-file or both --x1 and --x2")
+    elif args.x2 < args.x1:  # checked before x2 becomes A's horizon
+        raise ValueError(f"--x2 {args.x2} below --x1 {args.x1}")
     a = _base_set(args, args.x2)
     if args.b_file is not None:
         b = read_set_file(args.b_file)

@@ -9,7 +9,7 @@ an exact sumset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CoverFailed, PreconditionViolated
 from .natset import NatSet, count_in, from_interval, non_elements, reflect, sumset
@@ -21,8 +21,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BlockCoverResult:
+class BlockCoverResult(NamedTuple):
     """Verified cover of (n, end] by A + candidate_set."""
 
     candidate_set: NatSet

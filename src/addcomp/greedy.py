@@ -37,11 +37,10 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import takewhile
 from operator import itemgetter
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .cover import block_cover
 from .errors import CoverFailed, PreconditionViolated
@@ -62,8 +61,7 @@ __all__ = [
 DEGENERATE_DEPTH = 3
 
 
-@dataclass(frozen=True)
-class GreedyInstance:
+class GreedyInstance(NamedTuple):
     """A thinning problem: cover (m, m+n] from translates A + i, i in B."""
 
     a: NatSet
@@ -106,8 +104,7 @@ class GreedyInstance:
         return d
 
 
-@dataclass(frozen=True)
-class GreedyTrace:
+class GreedyTrace(NamedTuple):
     """Bookkeeping of one thinning run.
 
     gains[j] is the number of targets newly covered at step j; gain_counts

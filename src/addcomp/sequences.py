@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import IndexOutOfRange, RatioNotSatisfied
 from .natset import NatSet, from_flags, non_elements, read_set_file
@@ -44,8 +43,7 @@ FAMILIES = ("powers", "geometric", "fibonacci", "primes", "composites", "squares
 _GEOMETRIC_ITERATION_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(NamedTuple):
     """A rule producing the base set: family name, horizon, spec string, parameters."""
 
     family: str
@@ -98,7 +96,10 @@ def parse_spec(text: str, horizon: int | None = None) -> SequenceSpec:
         params = {}
         for part in rest.split(","):
             key, _, val = part.partition("=")
-            params[key.strip()] = val.strip()
+            key = key.strip()
+            if key in params or key not in ("c", "alpha"):
+                raise ValueError(f"geometric takes exactly c and alpha, once each; got {key!r}")
+            params[key] = val.strip()
         missing = {"c", "alpha"} - params.keys()
         if missing:
             raise ValueError(f"geometric spec is missing {sorted(missing)}")
@@ -191,8 +192,7 @@ def generate(spec: SequenceSpec) -> NatSet:
     raise ValueError(f"unknown sequence family {family!r}")
 
 
-@dataclass(frozen=True)
-class RatioAnalysis:
+class RatioAnalysis(NamedTuple):
     """Parameters derived from a witnessed tail growth bound.
 
     n0           1-based index from which a_{n+1} >= alpha * a_n holds in-horizon

@@ -1,6 +1,8 @@
-import dataclasses
 import importlib
 import inspect
+import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,12 +11,16 @@ from addcomp import (
     BlockBuild,
     BlockCoverResult,
     ComplementBuild,
+    GreedyInstance,
     GreedyTrace,
     NatSet,
     RatioAnalysis,
     SequenceSpec,
     analyze_ratio,
+    block_cover,
     build_complement,
+    generate,
+    parse_spec,
     reflect,
     sumset,
     sumset_reference,
@@ -27,6 +33,10 @@ MODULES = ("addcomp", *(f"addcomp.{name}" for name in (
 #: Public names that were removed; none may come back through an export list.
 REMOVED = ("translate", "translate_count_upper_bound", "HypothesisViolated", "read_elements",
            "DensityProfile")
+
+#: Every public record type; each is an immutable NamedTuple.
+RECORDS = ("SequenceSpec", "RatioAnalysis", "BlockCoverResult", "GreedyInstance", "GreedyTrace",
+           "BlockBuild", "CoverCertificate", "ComplementBuild", "DensitySample")
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -56,18 +66,16 @@ def test_package_exports_are_the_module_lists():
 def test_removed_members_stay_gone():
     for attr in ("union", "difference", "complement", "max_element", "__or__", "__sub__"):
         assert attr not in vars(NatSet), attr
-    fields = [f.name for f in dataclasses.fields(BlockCoverResult)]
-    assert fields == ["candidate_set", "covered"]
+    assert BlockCoverResult._fields == ("candidate_set", "covered")
     assert "horizon" not in inspect.signature(build_complement).parameters
     # one owner per fact: no copied fields, no cached count, no fallback spec string
-    assert not {"threshold", "horizon"} & {f.name for f in dataclasses.fields(ComplementBuild)}
+    assert not {"threshold", "horizon"} & set(ComplementBuild._fields)
     assert "_count" not in NatSet.__slots__
     assert not hasattr(SequenceSpec, "describe")
     # results keep only what their producer decides; reports derive the rest
-    assert [f.name for f in dataclasses.fields(BlockBuild)] == [
-        "exponent", "trace", "translate_bound_ok"]
-    assert "peak_gain" not in {f.name for f in dataclasses.fields(GreedyTrace)}
-    assert not {"alpha", "certified"} & {f.name for f in dataclasses.fields(RatioAnalysis)}
+    assert BlockBuild._fields == ("exponent", "trace", "translate_bound_ok")
+    assert "peak_gain" not in GreedyTrace._fields
+    assert not {"alpha", "certified"} & set(RatioAnalysis._fields)
     assert "certified" not in inspect.signature(analyze_ratio).parameters
 
 
@@ -87,3 +95,33 @@ def test_horizon_is_always_given(func):
 
 def test_horizon_is_never_inferred():
     assert not hasattr(natset, "_pick_horizon")
+
+
+def test_cli_import_stays_lean():
+    # record types are NamedTuples, so neither dataclasses nor inspect is loaded at start-up
+    code = "import sys, addcomp.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+
+
+@pytest.fixture(scope="module")
+def records():
+    spec = parse_spec("powers:2", 1 << 10)
+    a = generate(spec)
+    build = build_complement(spec)
+    cover = block_cover(a, 64, 128, 256)
+    inst = GreedyInstance(a=a, b=cover.candidate_set, m=128, n=128, x1=64, x2=256)
+    found = (spec, build.analysis, cover, inst, build.blocks[0].trace, build.blocks[0],
+             build.coverage, build, build.density[0])
+    return {type(record).__name__: record for record in found}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_immutable_and_pickle(records, name):
+    record = records[name]
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is type(record)
+    assert copy == record

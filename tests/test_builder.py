@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -107,7 +106,7 @@ def test_block_precondition_failure_is_reported():
 def test_block_precondition_failure_keeps_its_cause():
     # the block failure wraps thin_block's own clause instead of recounting it
     a = generate(parse_spec("powers:2", 1 << 12))
-    forged = replace(analyze_ratio(a.to_list()), gamma=1, threshold=4)
+    forged = analyze_ratio(a.to_list())._replace(gamma=1, threshold=4)
     with pytest.raises(BlockPreconditionFailed) as err:
         _build_blocks(a, forged, 1 << 12)
     cause = err.value.__cause__

@@ -416,6 +416,27 @@ def test_oracle_names_the_missing_window(capsys, window):
     assert capsys.readouterr().err == "error: provide --b-file or both --x1 and --x2\n"
 
 
+@pytest.mark.parametrize("horizon", [["--horizon", "100"], []], ids=["horizon", "default"])
+def test_oracle_rejects_x2_below_x1(capsys, horizon):
+    # checked before A is generated, as --range is; an empty window stays a NoCover
+    argv = ["oracle", "powers:2", *horizon, "--m", "8", "--n", "8", "--x1", "16"]
+    assert main([*argv, "--x2", "4"]) == 2
+    assert capsys.readouterr().err == "error: --x2 4 below --x1 16\n"
+    assert main([*argv, "--x2", "16"]) == 1
+
+
+@pytest.mark.parametrize("params, key", [
+    ("c=1,alpha=2,beta=3", "beta"),
+    ("c=1,alpha=2,", ""),
+    ("c=1,alpha=2,gamma", "gamma"),
+    ("c=1,alpha=2,c=5", "c"),
+], ids=["unknown", "empty", "bare", "repeated"])
+def test_geometric_spec_rejects_bad_keys(capsys, params, key):
+    assert main(["build", f"geometric:{params}", "--horizon", "1000"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: geometric takes exactly c and alpha, once each; got {key!r}\n")
+
+
 def test_oracle_rejects_horizon_below_x2(capsys):
     # membership in (8, 16] is unknown at horizon 8, so 16 must not become a candidate
     code = main(["oracle", "powers:2", "--horizon", "8", "--m", "8", "--n", "8",
