@@ -97,8 +97,10 @@ def verify_cover(a: NatSet, b: NatSet, lo: int, hi: int) -> CoverCertificate:
 
 def geometric_points(limit: int, count: int) -> list[int]:
     """Roughly geometrically spaced integers in [1, limit], deduplicated."""
-    if limit < 1 or count < 1:
-        raise ValueError("limit and count must be positive")
+    if limit < 1:
+        raise ValueError(f"sample limit must be at least 1, got {limit}")
+    if count < 1:
+        raise ValueError(f"sample count must be at least 1, got {count}")
     if count == 1:
         return [limit]
     pts = {round(limit ** (j / (count - 1))) for j in range(count)}

@@ -362,7 +362,3 @@ def main(argv=None) -> int:
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

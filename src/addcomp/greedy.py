@@ -125,24 +125,27 @@ class GreedyTrace(NamedTuple):
     degenerate: bool
 
 
-def _target_flags(a: NatSet, m: int, n: int, base: int) -> tuple[list[int], bytearray, Callable]:
-    """(a_list, flags, read): a_list is A below m + n, scanned no further, as
-    no larger element lands a sum in (m, m+n]; flags[t - base] == 1 exactly
-    for the targets t above base; and sum(read(memoryview(flags)[b - base:]))
-    is the gain of a candidate b in [base, m + n].
+def _target_flags(a: NatSet, b: NatSet, m: int, n: int) -> tuple[int, list[int], memoryview, Callable]:
+    """(lo, a_list, view, read): lo is B's smallest candidate, capped at m + n;
+    a_list is A below m + n, scanned no further, as no larger element lands
+    a sum in (m, m+n]; view[t - lo] == 1 exactly for the targets t above lo;
+    and sum(read(view[b - lo:])) is the gain of a candidate b in [lo, m + n].
 
-    The flags start at base <= m + n: a target at or below base lies in no
-    translate A + b with b >= base, so no byte is spent on it.  Zero padding
-    of max(a_list) bytes above m + n keeps every read in range with no test
-    of the window.  itemgetter returns a bare int for one index and needs at
-    least one, so shorter lists are read through a list.
+    A target at or below lo lies in no translate A + b with b in B, so no
+    byte is spent on it.  Zero padding of max(a_list) bytes above m + n
+    keeps every read in range with no test of the window.  itemgetter
+    returns a bare int for one index and needs at least one, so shorter
+    lists are read through a list.
     """
     end = m + n
+    # With no candidate in [1, m+n], one flag for m+n itself, which gains nothing.
+    lo = min(b.min_element() or end, end)
     a_list = list(takewhile(lambda x: x < end, a))
-    flags = bytearray(end + 1 - base + max(a_list, default=0))
-    first = max(m + 1 - base, 0)
-    flags[first:end + 1 - base] = b"\x01" * (end + 1 - base - first)
-    return a_list, flags, itemgetter(*a_list) if len(a_list) > 1 else lambda v: [v[x] for x in a_list]
+    flags = bytearray(end + 1 - lo + max(a_list, default=0))
+    first = max(m + 1 - lo, 0)
+    flags[first:end + 1 - lo] = b"\x01" * (end + 1 - lo - first)
+    read = itemgetter(*a_list) if len(a_list) > 1 else lambda v: [v[x] for x in a_list]
+    return lo, a_list, memoryview(flags), read
 
 
 def greedy_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[array, array]:
@@ -183,9 +186,7 @@ def greedy_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[array, array]:
     smallest; and once the walk ends none is at g, so the top gain is below g.
     """
     end = m + n
-    # With no candidate in [1, m+n], one lane for m+n itself, which gains nothing.
-    lo = min(b.min_element() or end, end)
-    a_list, flags, read = _target_flags(a, m, n, lo)
+    lo, a_list, view, read = _target_flags(a, b, m, n)
     width = next(w for w in (1, 2, 4, 8) if len(a_list) < 1 << 8 * w)
     size = (end - lo + 1) * width
     gaps = [8 * width * (y - x) for x, y in zip(a_list, a_list[1:])][::-1]
@@ -202,7 +203,6 @@ def greedy_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[array, array]:
     # Lanes hold 0 or 1, so the product fills each lane of B with ones and carries nothing.
     members = spread(point_flags(b, lo, end)) * ((1 << 8 * width) - 1)
 
-    view = memoryview(flags)
     uncovered = n
     chosen = array("q")
     gains = array("q")
@@ -231,7 +231,7 @@ def greedy_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[array, array]:
                 i = pos // width
                 if sum(read(view[i:])) == g:
                     for x in a_list:
-                        flags[i + x] = 0
+                        view[i + x] = 0
                     uncovered -= g
                     chosen.append(lo + i)
                     gains.append(g)
@@ -288,16 +288,14 @@ def greedy_thin(inst: GreedyInstance) -> tuple[NatSet, GreedyTrace]:
     two_term = closed_form = None
     if depth < DEGENERATE_DEPTH:
         chosen = array("q", inst.b)
-        # B lies in (x1, x2], so x1 is a base below every candidate
-        a_list, flags, read = _target_flags(inst.a, inst.m, inst.n, inst.x1)
-        view = memoryview(flags)
+        lo, a_list, view, read = _target_flags(inst.a, inst.b, inst.m, inst.n)
         gains = array("q")
         for b_el in chosen:
             # A + (m + n) covers nothing, like any A + b above it
-            i = min(b_el, inst.m + inst.n) - inst.x1
+            i = min(b_el, inst.m + inst.n) - lo
             gains.append(sum(read(view[i:])))
             for x in a_list:
-                flags[i + x] = 0
+                view[i + x] = 0
     else:
         chosen, gains = greedy_cover(inst.a, inst.b, inst.m, inst.n)
         two_term = two_term_bound(len(inst.b), depth, inst.n, cutoff)

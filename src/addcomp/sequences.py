@@ -127,25 +127,28 @@ def _prime_flags(limit: int) -> bytearray:
 
 
 def _generate_geometric(c: Fraction, alpha: Fraction, horizon: int) -> list[int]:
+    """The distinct positive floor(c * alpha^i), i >= 1, up to the horizon.
+
+    powers:K is this with c = 1/K and alpha = K.  A ratio that would make
+    more terms than the cap is rejected before any term is made; each log is
+    taken from a numerator and a denominator, so no huge fraction overflows.
+    """
     if c <= 0:
         raise ValueError(f"geometric scale must be positive, got {c}")
     if alpha <= 1:
         raise ValueError(f"geometric ratio must exceed 1, got {alpha}")
+    log_alpha = math.log(alpha.numerator) - math.log(alpha.denominator)
+    log_c = math.log(c.numerator) - math.log(c.denominator)
+    if _GEOMETRIC_ITERATION_CAP * log_alpha < math.log(horizon + 1) - log_c:
+        raise ValueError("geometric ratio too close to 1 for exact generation")
     out: list[int] = []
     num = c.numerator * alpha.numerator
     den = c.denominator * alpha.denominator
-    i = 1
-    while True:
-        value = num // den
-        if value > horizon:
-            break
+    while (value := num // den) <= horizon:
         if value >= 1 and (not out or value > out[-1]):
             out.append(value)
         num *= alpha.numerator
         den *= alpha.denominator
-        i += 1
-        if i > _GEOMETRIC_ITERATION_CAP:
-            raise ValueError("geometric ratio too close to 1 for exact generation")
     return out
 
 
@@ -167,12 +170,7 @@ def generate(spec: SequenceSpec) -> NatSet:
         k = spec.k
         if k is None or k < 2:
             raise ValueError(f"powers base must be an integer >= 2, got {k}")
-        vals = []
-        v = 1
-        while v <= h:
-            vals.append(v)
-            v *= k
-        return NatSet(vals, h)
+        return NatSet(_generate_geometric(Fraction(1, k), Fraction(k), h), h)
     if family == "geometric":
         if spec.c is None or spec.alpha is None:
             raise ValueError("geometric family needs c and alpha")

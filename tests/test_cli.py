@@ -389,6 +389,25 @@ def test_density_json_stdout(capsys):
     assert payload["samples"][-1]["n"] == 64
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_density_names_the_sample_count(capsys, samples):
+    assert main(["density", "powers:2", "--horizon", "64", "--samples", samples]) == 2
+    assert capsys.readouterr().err == f"error: sample count must be at least 1, got {samples}\n"
+    assert main(["density", "powers:2", "--horizon", "64", "--samples", "1"]) == 0
+    assert [x["n"] for x in json.loads(capsys.readouterr().out)["samples"]] == [64]
+
+
+@pytest.mark.parametrize("argv, clause", [
+    (["build", "powers:2", "--horizon", "1024", "--alpha", "abc"],
+     "cannot interpret 'abc' as a ratio bound"),
+    (["density", "powers:2"], "spec 'powers:2' needs an explicit horizon"),
+    (["gap", "powers:2", "--range", "9..3"], "range upper end 3 below lower end 9"),
+], ids=["alpha", "density-horizon", "range"])
+def test_bad_arguments_name_their_clause(capsys, argv, clause):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {clause}\n"
+
+
 def test_gap_exit_codes(capsys):
     evens_h = 200
     assert main(["gap", "composites", "--range", "10..2000", "--horizon", "2000"]) == 0

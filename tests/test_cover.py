@@ -43,6 +43,8 @@ def test_block_cover_rejects_bad_shapes():
         block_cover(a, 4, 8, 8)  # end <= n
     with pytest.raises(PreconditionViolated):
         block_cover(NatSet([1], 10), 2, 4, 16)  # horizon below end
+    with pytest.raises(PreconditionViolated, match="^m >= 1: got m=0$"):
+        block_cover(a, 0, 8, 16)
 
 
 def test_block_cover_never_fails_when_preconditions_hold():

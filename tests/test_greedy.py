@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from array import array
 import tracemalloc
 from fractions import Fraction
@@ -262,6 +263,16 @@ def test_precondition_clauses_are_named():
     # There is no initial-cover clause: a positive depth already forces
     # coverage (the translate-count lower bound is positive at every target),
     # see test_positive_depth_forces_initial_cover.
+
+
+@pytest.mark.parametrize("n, x1, x2, clause", [
+    (0, 5, 12, "n >= 1: got n=0"),
+    (2, 5, 5, "1 <= x1 < x2: got x1=5, x2=5"),
+], ids=["n", "x1-x2"])
+def test_instance_shape_clauses_are_named(n, x1, x2, clause):
+    inst = GreedyInstance(a=NatSet([1, 2, 3, 4], 20), b=NatSet([], 20), m=8, n=n, x1=x1, x2=x2)
+    with pytest.raises(PreconditionViolated, match=f"^{re.escape(clause)}$"):
+        inst.validate()
 
 
 def test_positive_depth_forces_initial_cover():

@@ -43,6 +43,11 @@ def test_from_interval_kinds(kind, expected):
     assert from_interval(2, 5, kind, horizon=10).to_list() == expected
 
 
+def test_from_interval_rejects_horizon_below_one():
+    with pytest.raises(ValueError, match="^horizon must be at least 1, got 0$"):
+        from_interval(1, 5, horizon=0)
+
+
 def test_from_interval_rejects_unknown_kind():
     with pytest.raises(ValueError):
         from_interval(1, 5, "[>", horizon=10)

@@ -1,6 +1,7 @@
 import math
 import time
 from fractions import Fraction
+from itertools import count, takewhile
 
 import pytest
 
@@ -15,7 +16,8 @@ from addcomp import (
     parse_spec,
     ratio_tail_holds,
 )
-from addcomp.sequences import FAMILIES
+import addcomp.sequences as sequences_module
+from addcomp.sequences import FAMILIES, _generate_geometric
 
 
 def test_powers_of_two():
@@ -100,6 +102,62 @@ def test_geometric_deduplicates():
     got = generate(parse_spec("geometric:c=2,alpha=1.1", 10)).to_list()
     assert got == sorted(set(got))
     assert all(x <= 10 for x in got)
+
+
+def _plain_powers(k, h):
+    return list(takewhile(lambda v: v <= h, (k**i for i in count())))
+
+
+@pytest.mark.parametrize("k", range(2, 41))
+def test_powers_are_geometric_with_scale_one_over_k(k):
+    # K^(i-1) = floor((1/K) * K^i); 2^40 is only ever a bound, never a NatSet
+    for h in (1, 2, 3, k - 1, k, k + 1, 2**20, 2**40):
+        assert _generate_geometric(Fraction(1, k), Fraction(k), h) == _plain_powers(k, h)
+
+
+@pytest.mark.parametrize("k", range(2, 41))
+def test_powers_keep_their_digest(k):
+    for h in (1, k, k * k + 1, 4096):
+        got = generate(parse_spec(f"powers:{k}", h))
+        assert got.content_digest() == NatSet(_plain_powers(k, h), h).content_digest()
+
+
+def test_powers_of_two_digest_is_pinned():
+    # the a= digest that `verify` prints for the 2^20 build
+    assert generate(parse_spec("powers:2", 1 << 20)).content_digest().startswith("e3e94d50e211")
+
+
+def test_geometric_near_one_is_rejected_before_any_term():
+    spec = parse_spec("geometric:c=1,alpha=1.0001", 10**6)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^geometric ratio too close to 1 for exact generation$"):
+        generate(spec)
+    assert time.perf_counter() - start < 2
+    assert len(generate(parse_spec("geometric:c=1,alpha=1.001", 10**6))) == 7910
+
+
+@pytest.mark.parametrize("horizon, rejected", [(1022, False), (1024, True)])
+def test_geometric_cap_counts_terms_below_the_horizon(monkeypatch, horizon, rejected):
+    # with a cap of 10 terms, 2^1..2^10 fit below 1024 but not below 1022
+    monkeypatch.setattr(sequences_module, "_GEOMETRIC_ITERATION_CAP", 10)
+    if rejected:
+        with pytest.raises(ValueError, match="too close to 1"):
+            _generate_geometric(Fraction(1), Fraction(2), horizon)
+    else:
+        assert _generate_geometric(Fraction(1), Fraction(2), horizon) == _plain_powers(2, 512)[1:]
+
+
+@pytest.mark.parametrize("make, clause", [
+    (lambda: parse_spec("primes:3", 10), "family 'primes' takes no parameters"),
+    (lambda: parse_spec("file:", 10), "file: spec needs a path"),
+    (lambda: parse_spec("geometric:c=x,alpha=2", 10), "cannot interpret 'x' as a scale"),
+    (lambda: generate(SequenceSpec("bogus", 10, "bogus")), "unknown sequence family 'bogus'"),
+    (lambda: generate(SequenceSpec("geometric", 10, "geometric:alpha=2", alpha=Fraction(2))),
+     "geometric family needs c and alpha"),
+], ids=["no-parameters", "no-path", "bad-scale", "unknown-family", "no-scale"])
+def test_spec_errors_name_their_clause(make, clause):
+    with pytest.raises(ValueError, match=f"^{clause}$"):
+        make()
 
 
 def test_family_parameter_validation():
