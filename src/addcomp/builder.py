@@ -167,10 +167,12 @@ def _build_blocks(a: NatSet, analysis: RatioAnalysis, horizon: int) -> list[Bloc
 def build_complement(spec: SequenceSpec, alpha_hint=None) -> ComplementBuild:
     """Run the full pipeline and return the verified build.
 
-    The coverage certificate spans (threshold, hi] where hi is the end of
-    the last fully built block, kept strictly inside the horizon; nothing
-    is certified beyond exact knowledge.  Density is sampled at powers of
-    two from the threshold upward.
+    The coverage certificate spans (threshold, hi]: hi is the end of the
+    last block, halved when that end is the horizon itself unless halving
+    would leave the range empty, so hi may equal the horizon.  sumset is
+    exact up to its horizon, so nothing is certified beyond exact
+    knowledge.  Density is sampled at powers of two from the threshold
+    upward.
     """
     h = spec.horizon
     a = generate(spec)
@@ -186,9 +188,9 @@ def build_complement(spec: SequenceSpec, alpha_hint=None) -> ComplementBuild:
     if not complement.isdisjoint(a):
         raise CoverFailed("complement intersects the base set; blocks are corrupt")
 
-    # The last block ends at the largest power of two <= h; keep hi below h.
+    # The last block ends at the largest power of two <= h.
     hi = 1 << (blocks[-1].exponent + 2)
-    if hi == h:
+    if hi == h and hi >> 1 > analysis.threshold:
         hi >>= 1
     coverage = verify_cover(a, complement, analysis.threshold, hi)
 

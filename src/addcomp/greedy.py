@@ -5,11 +5,15 @@ already covered by the translates A + i over i in B, greedy_thin() selects
 a subset S that still covers the window, always taking the candidate whose
 translate covers the most still-uncovered targets (ties broken by smallest
 element).  greedy_cover computes every candidate's gain at once, one lane
-per candidate inside a big integer, and re-checks only the candidates at
-the top gain, each by one C-level gather over zero-padded flags indexed
-from B's smallest candidate; gains only shrink, so that visits candidates
-in exactly this order.  The trace records the chosen order and the
-per-step marginal gains, each an array("q"), and the size bounds.
+per candidate inside a big integer, and walks the candidates at the top
+gain in one of two modes.  At first each pick zeroes the lanes of the
+candidates it makes stale, so a lane still at the top gain is exact and is
+picked unchecked; once that zeroing costs more than the re-checks it
+spares, each walked candidate is re-checked instead, by one C-level gather
+over zero-padded flags indexed from B's smallest candidate.  Gains only
+shrink, so both modes visit candidates in exactly this order.  The trace
+records the chosen order and the per-step marginal gains, each an
+array("q"), and the size bounds.
 
 The quantity controlling the bound is the depth
     depth = |A n [1, m - x1)| - (x2 - x1 - |B|),
@@ -173,23 +177,47 @@ def greedy_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[array, array]:
     partial sum reaches 256^width in any lane, so adding never carries
     across lanes, and right shifts by whole lanes then distribute over sums
     and compose.  Besides the flags and the member mask, at most three
-    lane-sized ints (F, t and the next t) are alive at once.
+    lane-sized ints (F, t and the next t) are alive at once.  The lanes are
+    kept as a bytearray, copied from t's bytes once t is dropped, and
+    `cells` casts it to the lane's unsigned type, so one store zeroes a
+    whole lane in either byte order.
 
-    g steps down from len(a_list).  At each g the lanes equal to g are
-    walked upwards and each candidate's gain is re-read by one gather over
-    the padded flags: one still at g is picked, any other is skipped.  The
-    lanes are recomputed after a walk that picked.  This picks exactly what
-    recomputing every gain at every step does, by gain descending, then
-    element ascending: gains only shrink, so a candidate below g when the
-    lanes were computed never reaches g again; every candidate still at g
-    lies ahead in the walk, so the next one found still at g is the
-    smallest; and once the walk ends none is at g, so the top gain is below g.
+    g steps down from len(a_list), and at each g the lanes equal to g are
+    walked upwards.  The lanes are recomputed after a walk that picked, so
+    they are exact when every walk starts.  A walk runs in one of two modes:
+
+    - kill mode picks each lane found at g with no re-check.  A pick at i
+      clears each of its targets i + x still uncovered and zeroes the lane
+      of every candidate ahead of it that holds that target, j = i + x - y
+      for each y < x in a_list (the offsets in `ahead`).  Gains change only
+      at picks, and the walk has zeroed every candidate ahead whose gain a
+      pick lowered, so a lane still at g has true gain g.
+    - re-check mode re-reads the gain of each candidate found at g by one
+      gather over the padded flags: one still at g is picked, any other is
+      skipped.
+
+    Either way this picks exactly what recomputing every gain at every step
+    does, by gain descending, then element ascending: gains only shrink, so
+    a candidate below g when the lanes were computed never reaches g again;
+    every candidate still at g lies ahead in the walk, so the next one found
+    still at g is the smallest; and once the walk ends none is at g, so the
+    top gain is below g.
+
+    The walk starts in kill mode and leaves it for good after a kill-mode
+    walk that picked, unless (found - picks) * len(a_list) >= writes: found
+    is lanes.count at g when the walk began (exact for one-byte lanes, an
+    estimate for wider ones), so found - picks are the failed re-checks the
+    walk spared, each priced at its len(a_list) gathered bytes, and writes
+    are the lanes it zeroed.  The rule reads counts, not clocks, so a run
+    does the same work on any host.
     """
     end = m + n
     lo, a_list, view, read = _target_flags(a, b, m, n)
     width = next(w for w in (1, 2, 4, 8) if len(a_list) < 1 << 8 * w)
     size = (end - lo + 1) * width
     gaps = [8 * width * (y - x) for x, y in zip(a_list, a_list[1:])][::-1]
+    # Target i + x of a pick at i is also target j + y of candidate j = i + (x - y).
+    ahead = [(x, [x - y for y in a_list[:k]]) for k, x in enumerate(a_list)]
 
     def spread(byte_flags: bytes) -> int:
         # Lanes are little-endian bytes throughout, whatever the host's byte order.
@@ -207,12 +235,12 @@ def greedy_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[array, array]:
     chosen = array("q")
     gains = array("q")
     g = len(a_list)
-    stale = True
+    stale = kill = True
     while uncovered:
         if not g:
             raise CoverFailed("candidates exhausted with targets still uncovered")
         if stale:
-            lanes = b""  # drop the old lanes before the new ones are summed
+            lanes = cells = b""  # drop the old lanes before the new ones are summed
             f = spread(bytes(view[:end + 1 - lo]))
             t = f
             for shift in gaps:
@@ -223,20 +251,35 @@ def greedy_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[array, array]:
             t &= members
             lanes = t.to_bytes(size, "little")
             del t
+            lanes = bytearray(lanes)
+            cells = memoryview(lanes).cast("BHIQ"[width.bit_length() - 1])
             stale = False
         lane = g.to_bytes(width, "little")
+        found = lanes.count(lane) if kill else 0
+        picks = writes = 0
         pos = lanes.find(lane)
         while pos >= 0 and uncovered:
             if not pos % width:  # a lane, not a match across two lanes
                 i = pos // width
-                if sum(read(view[i:])) == g:
-                    for x in a_list:
-                        view[i + x] = 0
+                if kill or sum(read(view[i:])) == g:
+                    if kill:
+                        for x, offsets in ahead:
+                            if view[i + x]:
+                                view[i + x] = 0
+                                for d in offsets:
+                                    cells[i + d] = 0
+                                writes += len(offsets)
+                    else:
+                        for x in a_list:
+                            view[i + x] = 0
                     uncovered -= g
                     chosen.append(lo + i)
                     gains.append(g)
+                    picks += 1
                     stale = True
             pos = lanes.find(lane, pos + 1)
+        if kill and picks:
+            kill = (found - picks) * len(a_list) >= writes
         g -= 1
     return chosen, gains
 

@@ -18,6 +18,7 @@ may read them concurrently.
 from __future__ import annotations
 
 import hashlib
+import sys
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
@@ -86,6 +87,8 @@ class NatSet:
     def __init__(self, elements: Iterable[int], horizon: int):
         if horizon < 1:
             raise ValueError(f"horizon must be at least 1, got {horizon}")
+        if horizon >> 3 >= sys.maxsize:  # checked before the buffer is asked for
+            raise ValueError(f"horizon must be below {8 * sys.maxsize}, got {horizon}")
         buf = bytearray((horizon >> 3) + 1)
         for e in elements:
             if e < 1:

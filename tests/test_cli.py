@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -293,6 +294,37 @@ def test_range_commands_keep_a_horizon_below_hi(tmp_path, monkeypatch, capsys, a
     write_set_file("B.set", [3, 5])  # misses 3 of (2, 6] at hi
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gap", "powers:2", "--range", "1..10"],
+    ["build", "powers:2"],
+    ["verify", "powers:2", "B.set", "--range", "128..256"],
+], ids=["gap", "build", "verify"])
+def test_horizon_past_the_index_range_exits_2(tmp_path, monkeypatch, capsys, argv):
+    # refused before any buffer is asked for: the command allocates next to nothing
+    monkeypatch.chdir(tmp_path)
+    write_set_file("B.set", [3, 5])
+    huge = str(10**40)
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--horizon", huge])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: horizon must be below {8 * sys.maxsize}, got {huge}\n"
+    assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("horizon, hi", [("256", 256), ("512", 256), ("1000", 512)])
+def test_build_never_prints_an_empty_range(capsys, horizon, hi):
+    # at 256 the one block ends at the horizon and is certified whole, not as (128, 128]
+    assert main(["build", "powers:2", "--horizon", horizon]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == f"coverage (128, {hi}] verified"
+    assert 128 < hi <= int(horizon)
 
 
 @pytest.mark.parametrize("text", ["2..x", "x..5", "5", "1..2..3"])

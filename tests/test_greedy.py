@@ -68,9 +68,69 @@ def test_selection_matches_full_recompute_on_blocks(spec):
     for i in range(analyze_ratio(a.to_list()).gamma, 10):
         q = 1 << i
         b = block_cover(a, q, 2 * q, 4 * q).candidate_set
-        assert _lists(greedy_cover(a, b, 2 * q, 2 * q)) == _greedy_cover_reference(a, b, 2 * q, 2 * q)
+        want = _greedy_cover_reference(a, b, 2 * q, 2 * q)
+        assert _exact_gain_greedy(a, b, 2 * q, 2 * q) == want
+        assert _lists(greedy_cover(a, b, 2 * q, 2 * q)) == want
         checked += 1
     assert checked >= 2
+
+
+def _exact_gain_greedy(a, b, m, n):
+    """The same greedy order from exact gains, updated target by target.
+
+    No lanes, no passes and no stale values: the pick is the smallest
+    candidate at the top gain, found by bytearray.find.  It is checked
+    against _greedy_cover_reference, whose cost grows as q^2, on the small
+    blocks, and stands in for it on the larger ones.
+    """
+    end = m + n
+    a_list = [x for x in a if x < end]
+    candidates = set(b)
+    gains = bytearray(end + 1)  # gains[c] for each candidate c <= end, all below 256 here
+    for c in candidates:
+        if c <= end:
+            gains[c] = sum(m < c + x <= end for x in a_list)
+    uncovered = set(range(m + 1, end + 1))
+    chosen, picked = [], []
+    g = max(gains)
+    while uncovered:
+        c = gains.find(g)
+        if c < 0:
+            g -= 1
+            if not g:
+                raise CoverFailed("candidates exhausted with targets still uncovered")
+            continue
+        for t in [c + x for x in a_list if c + x in uncovered]:
+            uncovered.remove(t)
+            for x in a_list:
+                if t - x in candidates:
+                    gains[t - x] -= 1
+        chosen.append(c)
+        picked.append(g)
+    return chosen, picked
+
+
+def test_exact_gain_greedy_matches_the_reference_on_random_instances():
+    rng = random.Random(58)
+    for _ in range(100):
+        inst = random_greedy_instance(rng, min_depth=1)
+        args = (inst.a, inst.b, inst.m, inst.n)
+        want = _cover_outcome(_greedy_cover_reference, *args)
+        assert _cover_outcome(_exact_gain_greedy, *args) == want
+
+
+@pytest.mark.parametrize("spec", ["powers:2", "powers:3", "fib"])
+def test_selection_matches_exact_gains_on_blocks_up_to_2_14(spec):
+    # the walk starts by zeroing the lanes each pick makes stale and turns to
+    # re-checks once the zeroing costs more; on nearly every one of these
+    # blocks it turns part-way through the run
+    a = generate(parse_spec(spec, 1 << 16))
+    exponents = range(analyze_ratio(a.to_list()).gamma, 15)
+    for i in exponents:
+        q = 1 << i
+        b = block_cover(a, q, 2 * q, 4 * q).candidate_set
+        assert _lists(greedy_cover(a, b, 2 * q, 2 * q)) == _exact_gain_greedy(a, b, 2 * q, 2 * q), q
+    assert len(exponents) >= 7
 
 
 def _wide_instance(rng, relevant, end, x2):
@@ -100,6 +160,19 @@ def test_selection_matches_full_recompute_on_wide_lanes():
         assert _lists(greedy_cover(a, b, m, n)) == _greedy_cover_reference(a, b, m, n)
     assert [count_in(a, 1, m + n, "[)") for a, _, m, n in instances[:2]] == [255, 256]
     assert all(count_in(a, 1, m + n, "[)") > 256 for a, _, m, n in instances[2:])
+
+
+@pytest.mark.parametrize("drop", [0, 30])
+def test_selection_matches_full_recompute_on_wide_lane_ties(drop):
+    # A is [1, 300] less `drop` random points: two-byte lanes and hundreds of
+    # candidates tied at the top gain, so one walk picks several times and each
+    # pick zeroes the two-byte lanes of many candidates ahead of it
+    rng = random.Random(60 + drop)
+    a = NatSet(sorted(set(range(1, 301)) - set(rng.sample(range(1, 301), drop))), 2000)
+    b = from_interval(300, 1600, horizon=2000)
+    got = _lists(greedy_cover(a, b, 400, 1200))
+    assert got == _greedy_cover_reference(a, b, 400, 1200)
+    assert got[1][:4] == [len(a)] * 4
 
 
 def _cover_outcome(cover, a, b, m, n):

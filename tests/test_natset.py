@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -46,6 +47,14 @@ def test_from_interval_kinds(kind, expected):
 def test_from_interval_rejects_horizon_below_one():
     with pytest.raises(ValueError, match="^horizon must be at least 1, got 0$"):
         from_interval(1, 5, horizon=0)
+
+
+@pytest.mark.parametrize("horizon", [8 * sys.maxsize, 10**40])
+def test_natset_rejects_a_horizon_past_the_index_range(horizon):
+    # refused before the buffer is asked for, so nothing is allocated
+    clause = f"^horizon must be below {8 * sys.maxsize}, got {horizon}$"
+    with pytest.raises(ValueError, match=clause):
+        NatSet([1], horizon)
 
 
 def test_from_interval_rejects_unknown_kind():
