@@ -177,8 +177,8 @@ def greedy_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[array, array]:
     partial sum reaches 256^width in any lane, so adding never carries
     across lanes, and right shifts by whole lanes then distribute over sums
     and compose.  Besides the flags and the member mask, at most three
-    lane-sized ints (F, t and the next t) are alive at once.  The lanes are
-    kept as a bytearray, copied from t's bytes once t is dropped, and
+    lane-sized ints (F, t and the next t) are alive at once.  Kill mode
+    (below) copies the lanes into a bytearray once t is dropped, and
     `cells` casts it to the lane's unsigned type, so one store zeroes a
     whole lane in either byte order.
 
@@ -251,8 +251,9 @@ def greedy_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[array, array]:
             t &= members
             lanes = t.to_bytes(size, "little")
             del t
-            lanes = bytearray(lanes)
-            cells = memoryview(lanes).cast("BHIQ"[width.bit_length() - 1])
+            if kill:
+                lanes = bytearray(lanes)
+                cells = memoryview(lanes).cast("BHIQ"[width.bit_length() - 1])
             stale = False
         lane = g.to_bytes(width, "little")
         found = lanes.count(lane) if kill else 0
@@ -262,16 +263,12 @@ def greedy_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[array, array]:
             if not pos % width:  # a lane, not a match across two lanes
                 i = pos // width
                 if kill or sum(read(view[i:])) == g:
-                    if kill:
-                        for x, offsets in ahead:
-                            if view[i + x]:
-                                view[i + x] = 0
-                                for d in offsets:
-                                    cells[i + d] = 0
-                                writes += len(offsets)
-                    else:
-                        for x in a_list:
-                            view[i + x] = 0
+                    for x, offsets in ahead:
+                        if kill and view[i + x]:
+                            for d in offsets:
+                                cells[i + d] = 0
+                            writes += len(offsets)
+                        view[i + x] = 0
                     uncovered -= g
                     chosen.append(lo + i)
                     gains.append(g)
