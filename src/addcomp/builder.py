@@ -176,7 +176,7 @@ def build_complement(spec: SequenceSpec, alpha_hint=None) -> ComplementBuild:
     """
     h = spec.horizon
     a = generate(spec)
-    analysis = analyze_ratio(a.to_list(), alpha_hint)
+    analysis = analyze_ratio(a, alpha_hint)
     first_block_end = 1 << (analysis.gamma + 2)
     if h < first_block_end:
         raise PreconditionViolated(

@@ -5,8 +5,8 @@ as CSV (``n,count,ratio``) for plotting.  Set files use the shared format:
 one strictly increasing positive integer per line, '#' comments allowed.
 
 Exit codes: 0 success / verified, 1 a verification or coverage check came
-back negative, 2 invalid input, unsatisfiable parameters or an unwritable
-output path; main() maps each exception to its exit code in one table.
+back negative, 2 invalid input, unsatisfiable parameters, an unwritable output
+path or too little memory; main() maps each exception to its code in one table.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ __all__ = ["main"]
 _MAX_LISTED = 20
 
 #: Exit code of each failure, first match wins; every one prints one "error:" line.
-_EXIT_CODES = {CoverFailed: 1, NoCover: 1, ValueError: 2, OSError: 2, AddcompError: 2}
+_EXIT_CODES = {CoverFailed: 1, NoCover: 1, ValueError: 2, OSError: 2, AddcompError: 2, MemoryError: 2}
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -136,7 +136,7 @@ def _trace_report(trace: GreedyTrace, *, context: dict) -> dict:
             "gain_cutoff": trace.gain_cutoff,
             "degenerate": trace.degenerate,
             "selected_size": len(trace.chosen),
-            "peak_gain": trace.gains[0] if trace.gains else 0,
+            "peak_gain": max(trace.gains, default=0),
             "bound_two_term": trace.bound_two_term,
             "bound_closed_form": trace.bound_closed_form,
             "gain_counts": {str(g): c for g, c in sorted(trace.gain_counts.items(), reverse=True)},
@@ -360,5 +360,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        detail = f"{args.command} ran out of memory" if isinstance(exc, MemoryError) else exc
+        print(f"error: {detail}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

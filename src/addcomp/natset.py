@@ -74,6 +74,14 @@ def _iter_mask(mask: int) -> Iterator[int]:
                 yield base + off
 
 
+def check_horizon(horizon: int) -> None:
+    """Raise ValueError unless 1 <= horizon < 8 * sys.maxsize, before anything is allocated."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    if horizon >> 3 >= sys.maxsize:  # past the index range of a one-bit-per-point buffer
+        raise ValueError(f"horizon must be below {8 * sys.maxsize}, got {horizon}")
+
+
 class NatSet:
     """An immutable finite set of naturals in [1, horizon].
 
@@ -85,10 +93,7 @@ class NatSet:
     __slots__ = ("_horizon", "_mask")
 
     def __init__(self, elements: Iterable[int], horizon: int):
-        if horizon < 1:
-            raise ValueError(f"horizon must be at least 1, got {horizon}")
-        if horizon >> 3 >= sys.maxsize:  # checked before the buffer is asked for
-            raise ValueError(f"horizon must be below {8 * sys.maxsize}, got {horizon}")
+        check_horizon(horizon)
         buf = bytearray((horizon >> 3) + 1)
         for e in elements:
             if e < 1:
@@ -102,8 +107,7 @@ class NatSet:
     @classmethod
     def _from_mask(cls, mask: int, horizon: int) -> "NatSet":
         # Internal fast path; callers guarantee mask only has bits in [1, horizon].
-        if horizon < 1:
-            raise ValueError(f"horizon must be at least 1, got {horizon}")
+        check_horizon(horizon)
         obj = object.__new__(cls)
         obj._horizon = horizon
         obj._mask = mask

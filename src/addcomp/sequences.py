@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import IndexOutOfRange, RatioNotSatisfied
-from .natset import NatSet, from_flags, non_elements, read_set_file
+from .natset import NatSet, check_horizon, from_flags, non_elements, read_set_file
 
 __all__ = [
     "ALPHA_GRID",
@@ -159,8 +159,7 @@ def generate(spec: SequenceSpec) -> NatSet:
     from the sieve's flags, with no Python step per element.
     """
     h = spec.horizon
-    if h < 1:
-        raise ValueError(f"horizon must be at least 1, got {h}")
+    check_horizon(h)  # before any family, the sieve included, allocates
     family = spec.family
     if family == "explicit":
         if spec.elements is None:
@@ -218,14 +217,10 @@ def _min_tail_start(seq: Sequence[int], alpha: Fraction) -> int | None:
     the bound (a vacuous tail does not count as a witness).
     """
     num, den = alpha.numerator, alpha.denominator
-    last_bad = 0  # largest 1-based pair index n where the bound fails
-    for i in range(len(seq) - 1):
-        if seq[i + 1] * den < seq[i] * num:
-            last_bad = i + 1
-    n0 = last_bad + 1
-    if n0 > len(seq) - 1:
-        return None
-    return n0
+    n = len(seq) - 1  # 1-based index of the last pair; walk back to the first that fails
+    while n >= 1 and seq[n] * den >= seq[n - 1] * num:
+        n -= 1
+    return n + 1 if n + 1 < len(seq) else None
 
 
 def ratio_tail_holds(seq: Sequence[int], n0: int, alpha: Fraction) -> bool:

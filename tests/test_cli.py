@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from addcomp import NatSet, generate, parse_spec, read_set_file, write_set_file
+import addcomp.cli as cli_module
 from addcomp.cli import main
 
 
@@ -196,6 +197,20 @@ def test_thin_report_bytes_are_pinned(tmp_path, monkeypatch, args, sha256):
     assert hashlib.sha256((tmp_path / "R.json").read_bytes()).hexdigest() == sha256
 
 
+def test_thin_report_peak_gain_is_the_largest_gain(tmp_path, monkeypatch):
+    # a degenerate replay's gains need not descend, so the first one is not the peak
+    monkeypatch.chdir(tmp_path)
+    write_set_file("A.set", [1, 2, 3, 4, 6, 9, 10])
+    write_set_file("B.set", [5, 7, 8])
+    argv = ["thin", "A.set", "--m", "9", "--n", "1", "--x1", "4", "--x2", "10",
+            "--b-file", "B.set", "--report", "R.json"]
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "R.json").read_text())
+    assert report["degenerate"] is True
+    assert report["gains"] == [0, 1, 0]
+    assert report["peak_gain"] == 1
+
+
 def test_thin_explicit_mode_rejects_b_beyond_x2(tmp_path, capsys):
     b_file = tmp_path / "B.set"
     write_set_file(b_file, [*range(5, 17), 500])
@@ -300,9 +315,12 @@ def test_range_commands_keep_a_horizon_below_hi(tmp_path, monkeypatch, capsys, a
     ["gap", "powers:2", "--range", "1..10"],
     ["build", "powers:2"],
     ["verify", "powers:2", "B.set", "--range", "128..256"],
-], ids=["gap", "build", "verify"])
+    ["gap", "primes", "--range", "1..10"],
+    ["gap", "composites", "--range", "1..10"],
+], ids=["gap", "build", "verify", "gap-primes", "gap-composites"])
 def test_horizon_past_the_index_range_exits_2(tmp_path, monkeypatch, capsys, argv):
-    # refused before any buffer is asked for: the command allocates next to nothing
+    # refused before any buffer is asked for, the sieve's included: the command
+    # allocates next to nothing
     monkeypatch.chdir(tmp_path)
     write_set_file("B.set", [3, 5])
     huge = str(10**40)
@@ -316,6 +334,20 @@ def test_horizon_past_the_index_range_exits_2(tmp_path, monkeypatch, capsys, arg
     err = capsys.readouterr().err
     assert err == f"error: horizon must be below {8 * sys.maxsize}, got {huge}\n"
     assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("argv, patched", [
+    (["gap", "powers:2", "--range", "1..10"], "generate"),
+    (["build", "powers:2", "--horizon", "1024"], "build_complement"),
+], ids=["gap", "build"])
+def test_running_out_of_memory_exits_2(monkeypatch, capsys, argv, patched):
+    # the error is raised, not provoked: nothing large is allocated
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli_module, patched, exhausted)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {argv[0]} ran out of memory\n"
 
 
 @pytest.mark.parametrize("horizon, hi", [("256", 256), ("512", 256), ("1000", 512)])

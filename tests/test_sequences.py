@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 from itertools import count, takewhile
@@ -17,7 +18,7 @@ from addcomp import (
     ratio_tail_holds,
 )
 import addcomp.sequences as sequences_module
-from addcomp.sequences import FAMILIES, _generate_geometric
+from addcomp.sequences import FAMILIES, _generate_geometric, _min_tail_start
 
 
 def test_powers_of_two():
@@ -34,8 +35,8 @@ def test_every_family_has_a_spec():
 @pytest.mark.parametrize("horizon", [0, -1, -2])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_generate_rejects_horizon_below_one(family, horizon):
-    # not a copy of NatSet's check: on a negative horizon the prime sieve and
-    # isqrt would fail first, with messages that name no horizon
+    # natset's rule runs before any family: on a negative horizon the prime
+    # sieve and isqrt would fail first, with messages that name no horizon
     params = {"powers": "powers:2", "geometric": "geometric:c=1,alpha=3/2"}
     spec = parse_spec(params.get(family, family), horizon)
     with pytest.raises(ValueError, match=f"^horizon must be at least 1, got {horizon}$"):
@@ -241,14 +242,54 @@ def test_grid_picks_largest_valid_alpha():
 
 
 def test_exact_grid_arithmetic_at_the_margin():
-    from addcomp.sequences import _min_tail_start
-
     # 20 -> 21 has ratio exactly 21/20; the decimal string must accept it at
     # the first index, while the nearest binary double (1.05000...044) rejects
     # the pair.  This is why ratio comparisons run on exact rationals.
     seq = [20, 21, 23, 25, 27, 29]
     assert _min_tail_start(seq, Fraction("1.05")) == 1
     assert _min_tail_start(seq, Fraction(1.05)) == 2
+
+
+def _forward_tail_start(seq, alpha):
+    # the definition read forwards: the first n0 whose tail of pairs all hold
+    for n0 in range(1, len(seq)):
+        if all(seq[n] >= alpha * seq[n - 1] for n in range(n0, len(seq))):
+            return n0
+    return None
+
+
+def test_min_tail_start_matches_the_forward_definition():
+    rng = random.Random(22)
+    alphas = [*ALPHA_GRID, Fraction(8, 7), Fraction(3)]
+    for _ in range(3000):
+        seq, x = [], rng.randint(1, 5)
+        for _ in range(rng.randint(0, 10)):
+            seq.append(x)
+            x += rng.randint(1, 3 * x)
+        for alpha in alphas:
+            assert _min_tail_start(seq, alpha) == _forward_tail_start(seq, alpha), (seq, alpha)
+    params = {"powers": "powers:2", "geometric": "geometric:c=1,alpha=3/2"}
+    for family in FAMILIES:
+        for h in (1, 2, 3, 10, 64, 100, 257, 1000):
+            seq = generate(parse_spec(params.get(family, family), h)).to_list()
+            for alpha in alphas:
+                assert _min_tail_start(seq, alpha) == _forward_tail_start(seq, alpha), (family, h)
+
+
+class _CountingList(list):
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def test_min_tail_start_reads_only_the_tail():
+    # the composites' last pair already fails every grid value, so nothing
+    # before it can matter; a forward scan reads all 921,501 elements
+    seq = _CountingList(generate(parse_spec("composites", 10**6)))
+    assert all(_min_tail_start(seq, alpha) is None for alpha in ALPHA_GRID)
+    assert seq.reads <= 2 * len(ALPHA_GRID)
 
 
 def test_ratio_failure_texts():
