@@ -45,14 +45,14 @@ class BlockBuild(NamedTuple):
 class CoverCertificate(NamedTuple):
     """Machine-checkable claim that every n in (lo, hi] lies in A + B.
 
-    ok holds exactly when missing is empty; the digests bind the claim to
-    the precise sets it was computed from.
+    missing is the NatSet of uncovered points, empty exactly when ok holds;
+    the digests bind the claim to the precise sets it was computed from.
     """
 
     lo: int
     hi: int
     ok: bool
-    missing: tuple[int, ...]
+    missing: NatSet
     a_digest: str
     b_digest: str
 
@@ -76,7 +76,7 @@ class ComplementBuild(NamedTuple):
 def verify_cover(a: NatSet, b: NatSet, lo: int, hi: int) -> CoverCertificate:
     """Exact coverage check of (lo, hi] by A + B.
 
-    A point n is covered iff some pair sums to it; the missing list is
+    A point n is covered iff some pair sums to it; the missing set is
     complete, not sampled.  Requires hi within both horizons.
     """
     if hi > a.horizon or hi > b.horizon:
@@ -84,7 +84,7 @@ def verify_cover(a: NatSet, b: NatSet, lo: int, hi: int) -> CoverCertificate:
             f"hi={hi} beyond a horizon (a: {a.horizon}, b: {b.horizon}); "
             "exactness would be lost"
         )
-    missing = tuple(non_elements(sumset(a, b, max(hi, 1)), lo, hi))
+    missing = non_elements(sumset(a, b, max(hi, 1)), lo, hi)
     return CoverCertificate(
         lo=lo,
         hi=hi,

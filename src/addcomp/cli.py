@@ -67,8 +67,8 @@ def _write_json(path: str | None, payload: dict) -> None:
     _emit(path, json.dumps(payload, indent=2))
 
 
-def _print_points(points, label: str = "missing") -> None:
-    shown = list(points[:_MAX_LISTED])
+def _print_points(points: NatSet, label: str = "missing") -> None:
+    shown = [x for x, _ in zip(points, range(_MAX_LISTED))]
     print(f"{label} {len(points)} point(s): {' '.join(map(str, shown))}"
           + (f" ... and {len(points) - len(shown)} more" if len(points) > len(shown) else ""))
 
@@ -173,7 +173,7 @@ def _cmd_verify(args) -> int:
     # clipped to hi but never extended past the horizon it was read at.
     b = read_set_file(args.b_file, a.horizon)
     if not b.isdisjoint(a):
-        _print_points((a & b).to_list(), label="B meets A in")
+        _print_points(a & b, label="B meets A in")
         return 1
     cert = verify_cover(a, b.with_horizon(min(max(hi, 1), a.horizon)), lo, hi)
     if cert.ok:
@@ -249,7 +249,7 @@ def _cmd_gap(args) -> int:
     if not gaps:
         print(f"no gaps in ({lo}, {hi}]: every point splits as (element) + (non-element)")
         return 0
-    _print_points(gaps.to_list())
+    _print_points(gaps)
     print(
         f"within ({lo}, {hi}] this is exact (sums from beyond {hi} cannot land here); "
         "it says nothing about larger targets"

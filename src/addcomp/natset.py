@@ -174,7 +174,8 @@ class NatSet:
         """Same elements re-truncated to a new horizon (clips when shrinking)."""
         if horizon == self._horizon:
             return self
-        return NatSet._from_mask(self._mask & _range_mask(1, horizon), horizon)
+        mask = self._mask if horizon > self._horizon else self._mask & _range_mask(1, horizon)
+        return NatSet._from_mask(mask, horizon)
 
     def content_digest(self) -> str:
         """SHA-256 over the canonical encoding; binds certificates to inputs."""
@@ -190,6 +191,7 @@ def from_interval(lo: int, hi: int, kind: str = "(]", *, horizon: int) -> NatSet
 
     An empty intersection yields the empty set; no errors for inverted bounds.
     """
+    check_horizon(horizon)
     return NatSet._from_mask(_range_mask(*_clipped_bounds(lo, hi, kind, horizon)), horizon)
 
 
@@ -208,6 +210,7 @@ def sumset(a: NatSet, b: NatSet, horizon: int) -> NatSet:
     check costs O(horizon), so it runs after shifts 1, 2, 4, 8, ... only;
     a sumset that never saturates pays for log2(shifts) checks.
     """
+    check_horizon(horizon)
     small, big = (a, b) if len(a) <= len(b) else (b, a)
     big_mask = big._mask
     low = big.min_element()

@@ -151,6 +151,25 @@ def test_verify_lists_at_most_twenty(tmp_path, capsys):
     assert len(listed) == 20
 
 
+def test_verify_prints_a_large_miss_without_listing_it(tmp_path, capsys):
+    # the missing points stay one bitmask: counted and cut at twenty, never listed whole
+    lone = tmp_path / "B.set"
+    write_set_file(lone, [3])
+    tracemalloc.start()
+    try:
+        code = main(["verify", "powers:2", str(lone), "--range", "0..1048576",
+                     "--horizon", "1048576"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().out == (
+        "missing 1048556 point(s): 1 2 3 6 8 9 10 12 13 14 15 16 17 18 20 21 22 23 24 25"
+        " ... and 1048536 more\n"
+    )
+    assert peak < 4 * 2**20, peak
+
+
 def test_thin_dyadic_mode(tmp_path):
     out = tmp_path / "S.set"
     report_path = tmp_path / "T.json"

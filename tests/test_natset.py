@@ -57,6 +57,26 @@ def test_natset_rejects_a_horizon_past_the_index_range(horizon):
         NatSet([1], horizon)
 
 
+@pytest.mark.parametrize("horizon", [8 * sys.maxsize, 10**40])
+@pytest.mark.parametrize("make", [
+    lambda s, h: s.with_horizon(h),
+    lambda s, h: sumset(s, s, h),
+    lambda s, h: from_interval(1, h, horizon=h),
+], ids=["with_horizon", "sumset", "from_interval"])
+def test_set_operations_reject_a_horizon_past_the_index_range(make, horizon):
+    # the horizon rule runs before any mask as wide as the horizon is built
+    s = NatSet([1], 10)
+    clause = f"^horizon must be below {8 * sys.maxsize}, got {horizon}$"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=clause):
+            make(s, horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
 def test_from_interval_rejects_unknown_kind():
     with pytest.raises(ValueError):
         from_interval(1, 5, "[>", horizon=10)
@@ -236,6 +256,8 @@ def test_with_horizon_round_trip():
     assert a.with_horizon(6).to_list() == [1, 5]
     assert a.with_horizon(20).to_list() == [1, 5, 9]
     assert a.with_horizon(20).horizon == 20
+    # raising the horizon builds no mask as wide as the new one
+    assert a.with_horizon(10**15).to_list() == [1, 5, 9]
 
 
 def test_min_max_and_contains():
