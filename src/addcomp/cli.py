@@ -46,6 +46,8 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise ValueError(f"range must look like LO..HI, got {text!r}") from None
     if hi < lo:
         raise ValueError(f"range upper end {hi} below lower end {lo}")
+    if hi == lo:
+        raise ValueError(f"range ({lo}, {hi}] is empty")
     return lo, hi
 
 

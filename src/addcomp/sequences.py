@@ -231,20 +231,17 @@ def ratio_tail_holds(seq: Sequence[int], n0: int, alpha: Fraction) -> bool:
     return all(seq[i + 1] * den >= seq[i] * num for i in range(n0 - 1, len(seq) - 1))
 
 
-def analyze_ratio(seq: Sequence[int] | NatSet, alpha_hint=None) -> RatioAnalysis:
-    """Derive the builder parameters from a strictly increasing sequence.
+def analyze_ratio(a: NatSet, alpha_hint=None) -> RatioAnalysis:
+    """Derive the builder parameters from the base set A.
 
     With a hint, the hinted ratio is verified on a minimal tail and used
     as-is.  Without one, the largest grid value admitting a valid tail wins
     (larger alpha means smaller r and p, hence an earlier threshold).
 
     Raises RatioNotSatisfied when no ratio holds on any nonvacuous tail, and
-    IndexOutOfRange when the sequence is too short for the derived r.
+    IndexOutOfRange when A is too short for the derived r.
     """
-    seq = list(seq)
-    for prev, cur in zip(seq, seq[1:]):
-        if cur <= prev:
-            raise ValueError(f"sequence must be strictly increasing ({cur} after {prev})")
+    seq = a.to_list()
     if len(seq) < 2:
         raise RatioNotSatisfied(f"need at least two elements, got {len(seq)}")
 

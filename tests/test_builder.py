@@ -89,7 +89,7 @@ def test_block_precondition_failure_is_reported():
     # a forged analysis with gamma below the legitimate value trips the
     # runtime counting check on the first block
     a = generate(parse_spec("powers:2", 1 << 12))
-    analysis = analyze_ratio(a.to_list())
+    analysis = analyze_ratio(a)
     forged = type(analysis)(
         n0=analysis.n0,
         r=analysis.r,
@@ -106,7 +106,7 @@ def test_block_precondition_failure_is_reported():
 def test_block_precondition_failure_keeps_its_cause():
     # the block failure wraps thin_block's own clause instead of recounting it
     a = generate(parse_spec("powers:2", 1 << 12))
-    forged = analyze_ratio(a.to_list())._replace(gamma=1, threshold=4)
+    forged = analyze_ratio(a)._replace(gamma=1, threshold=4)
     with pytest.raises(BlockPreconditionFailed) as err:
         _build_blocks(a, forged, 1 << 12)
     cause = err.value.__cause__

@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from addcomp import NatSet, generate, parse_spec, read_set_file, write_set_file
+import addcomp.builder as builder_module
 import addcomp.cli as cli_module
 from addcomp.cli import main
 
@@ -69,6 +70,22 @@ def test_build_output_is_disjoint_from_base(tmp_path):
 def test_build_ratio_failure_exits_2(capsys):
     assert main(["build", "composites", "--horizon", "100000"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_build_failing_coverage_lists_the_missing_points(tmp_path, capsys, monkeypatch):
+    # certify against an empty B: a real certificate that misses all of (128, 2048]
+    real_verify_cover = builder_module.verify_cover
+    monkeypatch.setattr(builder_module, "verify_cover",
+                        lambda a, b, lo, hi: real_verify_cover(a, NatSet([], b.horizon), lo, hi))
+    report_path = tmp_path / "R.json"
+    assert main(["build", "powers:2", "--horizon", "4096", "--report", str(report_path)]) == 1
+    assert capsys.readouterr().out == (
+        "built 671 elements in 5 blocks (gamma=6, threshold=128)\n"
+        "missing 1920 point(s): " + " ".join(map(str, range(129, 149)))
+        + " ... and 1900 more\n"
+    )
+    coverage = json.loads(report_path.read_text())["coverage"]
+    assert coverage == {"lo": 128, "hi": 2048, "ok": False, "missing_count": 1920}
 
 
 def test_build_empty_file_exits_2(tmp_path):
@@ -485,7 +502,10 @@ def test_density_names_the_sample_count(capsys, samples):
      "cannot interpret 'abc' as a ratio bound"),
     (["density", "powers:2"], "spec 'powers:2' needs an explicit horizon"),
     (["gap", "powers:2", "--range", "9..3"], "range upper end 3 below lower end 9"),
-], ids=["alpha", "density-horizon", "range"])
+    # (LO, LO] holds no point, so there is no coverage to verify and no gap to find
+    (["verify", "powers:2", "B.set", "--range", "5..5"], "range (5, 5] is empty"),
+    (["gap", "powers:2", "--range", "7..7"], "range (7, 7] is empty"),
+], ids=["alpha", "density-horizon", "range", "verify-empty-range", "gap-empty-range"])
 def test_bad_arguments_name_their_clause(capsys, argv, clause):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {clause}\n"

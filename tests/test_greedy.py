@@ -65,7 +65,7 @@ def test_selection_matches_full_recompute_on_blocks(spec):
     # real block candidate sets have long runs of tied gains, unlike the random instances
     a = generate(parse_spec(spec, 1 << 11))
     checked = 0
-    for i in range(analyze_ratio(a.to_list()).gamma, 10):
+    for i in range(analyze_ratio(a).gamma, 10):
         q = 1 << i
         b = block_cover(a, q, 2 * q, 4 * q).candidate_set
         want = _greedy_cover_reference(a, b, 2 * q, 2 * q)
@@ -125,7 +125,7 @@ def test_selection_matches_exact_gains_on_blocks_up_to_2_14(spec):
     # re-checks once the zeroing costs more; on nearly every one of these
     # blocks it turns part-way through the run
     a = generate(parse_spec(spec, 1 << 16))
-    exponents = range(analyze_ratio(a.to_list()).gamma, 15)
+    exponents = range(analyze_ratio(a).gamma, 15)
     for i in exponents:
         q = 1 << i
         b = block_cover(a, q, 2 * q, 4 * q).candidate_set

@@ -24,6 +24,16 @@ from addcomp import (
 from conftest import random_natset
 
 
+def test_repr_lists_up_to_ten_elements_and_counts_more():
+    assert repr(NatSet(range(1, 11), 10)) == (
+        "NatSet([1, 2, 3, 4, 5, 6, 7, 8, 9, 10], horizon=10)"
+    )
+    assert repr(NatSet([], 4)) == "NatSet([], horizon=4)"
+    assert repr(NatSet(range(1, 12), 20)) == (
+        "NatSet([1, 2, 3, 4, 5, 6, ...] <11 elements>, horizon=20)"
+    )
+
+
 def test_from_interval_half_open():
     assert from_interval(2, 5, "(]", horizon=10).to_list() == [3, 4, 5]
 

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import count, takewhile
 
@@ -202,14 +203,19 @@ def test_analyze_composites_fails():
         analyze_ratio(generate(parse_spec("composites", 10**4)))
 
 
+def _set(elements):
+    # the NatSet of the given elements, on the horizon of the largest
+    return NatSet(elements, max(elements))
+
+
 def test_analyze_explicit_with_hint():
-    an = analyze_ratio([1, 10, 100, 1000], alpha_hint="10")
+    an = analyze_ratio(_set([1, 10, 100, 1000]), alpha_hint="10")
     assert (an.n0, an.r, an.p, an.gamma, an.threshold) == (1, 1, 101, 8, 512)
 
 
 def test_analyze_minimal_tail_start():
     # ratio dips below 2 once: 1, 3, 4, 8, 16 fails 4/3 >= 2 at n=2, holds after
-    an = analyze_ratio([1, 3, 4, 8, 16, 32, 64, 128], alpha_hint=2)
+    an = analyze_ratio(_set([1, 3, 4, 8, 16, 32, 64, 128]), alpha_hint=2)
     assert an.n0 == 3
     assert ratio_tail_holds([1, 3, 4, 8, 16, 32, 64, 128], an.n0, an.alpha_exact)
 
@@ -223,9 +229,9 @@ def test_ratio_tail_holds_rejects_n0_below_one(n0):
 
 def test_analysis_tail_always_verifies():
     for spec_text in ("powers:2", "powers:3", "powers:5", "fib"):
-        seq = generate(parse_spec(spec_text, 10**5)).to_list()
-        an = analyze_ratio(seq)
-        assert ratio_tail_holds(seq, an.n0, an.alpha_exact)
+        a = generate(parse_spec(spec_text, 10**5))
+        an = analyze_ratio(a)
+        assert ratio_tail_holds(a.to_list(), an.n0, an.alpha_exact)
         # r is minimal for alpha**r >= 4
         assert an.alpha_exact**an.r >= 4
         assert an.r == 1 or an.alpha_exact ** (an.r - 1) < 4
@@ -236,7 +242,7 @@ def test_grid_picks_largest_valid_alpha():
     assert analyze_ratio(generate(parse_spec("powers:2", 1 << 12))).alpha_exact == Fraction(2)
     assert analyze_ratio(generate(parse_spec("powers:3", 3**10))).alpha_exact == Fraction(2)
     # ratios around 1.5 reject the grid value 2 but accept 3/2
-    an = analyze_ratio([16, 24, 36, 54, 81, 122, 183, 275, 413, 620])
+    an = analyze_ratio(_set([16, 24, 36, 54, 81, 122, 183, 275, 413, 620]))
     assert an.alpha_exact == Fraction(3, 2)
     assert an.alpha_exact in ALPHA_GRID
 
@@ -294,26 +300,42 @@ def test_min_tail_start_reads_only_the_tail():
 
 def test_ratio_failure_texts():
     with pytest.raises(RatioNotSatisfied, match=r"no tail satisfies a_\(n\+1\) >= 2 \* a_n"):
-        analyze_ratio([1, 2, 3, 4], alpha_hint="2")
+        analyze_ratio(_set([1, 2, 3, 4]), alpha_hint="2")
     with pytest.raises(RatioNotSatisfied, match="no grid ratio holds on any tail"):
-        analyze_ratio([100, 101, 102, 103])
+        analyze_ratio(_set([100, 101, 102, 103]))
 
 
 def test_analyze_rejects_short_or_invalid():
     with pytest.raises(RatioNotSatisfied):
-        analyze_ratio([5])
+        analyze_ratio(_set([5]))
+    # A is a NatSet, whose elements ascend; a plain list is refused, not read
+    with pytest.raises(AttributeError, match="to_list"):
+        analyze_ratio([1, 2, 4, 8, 16, 32])
     with pytest.raises(ValueError):
-        analyze_ratio([1, 2, 2])
-    with pytest.raises(ValueError):
-        analyze_ratio([2, 4, 8], alpha_hint="1")
+        analyze_ratio(_set([2, 4, 8]), alpha_hint="1")
     # hint verified but sequence too short for r: alpha=10 gives r=1, needs 4 elements
     with pytest.raises(IndexOutOfRange):
-        analyze_ratio([1, 10, 100], alpha_hint="10")
+        analyze_ratio(_set([1, 10, 100]), alpha_hint="10")
+
+
+def test_rejection_lists_a_only_once():
+    # one list of the 921,501 composites is about 35 MiB; a second copy of
+    # any large part of A, such as a scan for an order the set already has,
+    # passes the bound
+    a = generate(parse_spec("composites", 10**6))
+    tracemalloc.start()
+    try:
+        with pytest.raises(RatioNotSatisfied):
+            analyze_ratio(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 38 * 2**20
 
 
 def test_determinism():
-    seq = generate(parse_spec("fib", 10**6)).to_list()
-    assert analyze_ratio(seq) == analyze_ratio(seq)
+    a = generate(parse_spec("fib", 10**6))
+    assert analyze_ratio(a) == analyze_ratio(a)
     assert generate(parse_spec("fib", 10**6)) == generate(parse_spec("fib", 10**6))
 
 
