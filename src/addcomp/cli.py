@@ -12,13 +12,11 @@ path or too little memory; main() maps each exception to its code in one table.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
+# Handlers import builder, greedy and json where they call them, so gap and --version load none.
 from . import __version__
-from .builder import ComplementBuild, build_complement, geometric_points, verify_cover
 from .errors import AddcompError, CoverFailed, NoCover, PreconditionViolated
-from .greedy import GreedyInstance, GreedyTrace, greedy_cover, greedy_thin, thin_block
 from .natset import (
     NatSet,
     count_in,
@@ -66,6 +64,7 @@ def _emit(path: str | None, text: str) -> None:
 
 
 def _write_json(path: str | None, payload: dict) -> None:
+    import json
     _emit(path, json.dumps(payload, indent=2))
 
 
@@ -150,6 +149,7 @@ def _trace_report(trace: GreedyTrace, *, context: dict) -> dict:
 
 
 def _cmd_build(args) -> int:
+    from .builder import build_complement
     spec = parse_spec(args.spec, args.horizon)
     build = build_complement(spec, alpha_hint=args.alpha)
     if args.out:
@@ -169,6 +169,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .builder import verify_cover
     lo, hi = _parse_range(args.range)
     a = _base_set(args, max(hi, 1))
     # Disjointness is checked up to A's horizon, coverage only up to hi; B is
@@ -186,6 +187,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_thin(args) -> int:
+    from .greedy import GreedyInstance, greedy_thin, thin_block
     if args.q is not None:
         _reject_flags(args, ("m", "n", "x1", "x2", "b_file"), "--q")
         if args.q < 1:  # checked before 4q becomes A's horizon
@@ -220,6 +222,7 @@ def _cmd_thin(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    from .builder import geometric_points
     s = _base_set(args)
     points = geometric_points(s.horizon, args.samples)
     samples = density_profile(s, points)
@@ -260,6 +263,7 @@ def _cmd_gap(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .greedy import greedy_cover
     if args.b_file is not None:
         _reject_flags(args, ("x1", "x2"), "--b-file")
     elif args.x1 is None or args.x2 is None:

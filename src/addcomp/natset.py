@@ -17,7 +17,6 @@ may read them concurrently.
 
 from __future__ import annotations
 
-import hashlib
 import sys
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -179,6 +178,7 @@ class NatSet:
 
     def content_digest(self) -> str:
         """SHA-256 over the canonical encoding; binds certificates to inputs."""
+        import hashlib  # here, so commands that certify nothing never load OpenSSL
         h = hashlib.sha256()
         h.update(b"natset:1:")
         h.update(self._horizon.to_bytes(8, "little"))

@@ -30,6 +30,12 @@ from addcomp import natset
 MODULES = ("addcomp", *(f"addcomp.{name}" for name in (
     "builder", "cli", "cover", "errors", "greedy", "natset", "oracle", "sequences")))
 
+#: The seven modules whose names the package re-exports.
+LIBRARY = tuple(module for module in MODULES[1:] if module != "addcomp.cli")
+
+#: Modules that only build, verify, thin, density and oracle run; gap and --version load none.
+DEFERRED = ("addcomp.builder", "addcomp.greedy", "addcomp.cover", "hashlib", "json")
+
 #: Public names that were removed; none may come back through an export list.
 REMOVED = ("translate", "translate_count_upper_bound", "HypothesisViolated", "read_elements",
            "DensityProfile")
@@ -97,11 +103,39 @@ def test_horizon_is_never_inferred():
     assert not hasattr(natset, "_pick_horizon")
 
 
-def test_cli_import_stays_lean():
-    # record types are NamedTuples, so neither dataclasses nor inspect is loaded at start-up
-    code = "import sys, addcomp.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+def test_cli_import_stays_lean(tmp_path):
+    # record types are NamedTuples, so neither dataclasses nor inspect is loaded at start-up;
+    # what gap and --version do not run is loaded by the first command that does
+    report = tmp_path / "R.json"
+    code = (
+        "import sys, addcomp.cli\n"
+        f"print(sorted({{'dataclasses', 'inspect', *{DEFERRED}}} & set(sys.modules)))\n"
+        f"addcomp.cli.main(['build', 'powers:2', '--horizon', '1024', '--report', {str(report)!r}])\n"
+        f"print(sorted(set({DEFERRED}) - set(sys.modules)))\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout == "[]\n"
+    lines = out.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]"), out.stdout
+
+
+def test_package_resolves_names_on_first_use():
+    # a fresh interpreter, so each name below is found by the package's __getattr__
+    code = (
+        "import sys, addcomp\n"
+        "print(sorted(m for m in sys.modules if m.startswith('addcomp.')))\n"
+        f"print([getattr(addcomp, m.split('.')[1]).__name__ for m in {LIBRARY}] == {list(LIBRARY)})\n"
+        "from addcomp import *\n"
+        "print(all(name in globals() for name in addcomp.__all__))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\nTrue\nTrue\n"
+
+
+def test_package_dir_and_unknown_names():
+    package = importlib.import_module("addcomp")
+    assert set(package.__all__) <= set(dir(package))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        package.no_such_name
 
 
 @pytest.fixture(scope="module")

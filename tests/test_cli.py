@@ -372,16 +372,16 @@ def test_horizon_past_the_index_range_exits_2(tmp_path, monkeypatch, capsys, arg
     assert peak < 2**20, peak
 
 
-@pytest.mark.parametrize("argv, patched", [
-    (["gap", "powers:2", "--range", "1..10"], "generate"),
-    (["build", "powers:2", "--horizon", "1024"], "build_complement"),
+@pytest.mark.parametrize("argv, owner, patched", [
+    (["gap", "powers:2", "--range", "1..10"], cli_module, "generate"),
+    (["build", "powers:2", "--horizon", "1024"], builder_module, "build_complement"),
 ], ids=["gap", "build"])
-def test_running_out_of_memory_exits_2(monkeypatch, capsys, argv, patched):
+def test_running_out_of_memory_exits_2(monkeypatch, capsys, argv, owner, patched):
     # the error is raised, not provoked: nothing large is allocated
     def exhausted(*args, **kwargs):
         raise MemoryError()
 
-    monkeypatch.setattr(cli_module, patched, exhausted)
+    monkeypatch.setattr(owner, patched, exhausted)
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {argv[0]} ran out of memory\n"
 
