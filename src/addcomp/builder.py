@@ -6,27 +6,24 @@ derive the growth parameters, then for each dyadic exponent i from gamma
 drawn from (2^i, 2^{i+2}] minus A.  The union B of the thinned blocks is
 disjoint from A by construction, covers everything from the threshold
 2^{gamma+1} up to the last fully built block, and its sampled density
-decays; all three facts are re-verified exactly, never assumed.
+decays; all three are re-verified exactly (cover.verify_cover), never assumed.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
+from .cover import CoverCertificate, verify_cover
 from .errors import BlockPreconditionFailed, CoverFailed, PreconditionViolated
 from .greedy import GreedyTrace, thin_block
-from .natset import DensitySample, NatSet, count_in, density_profile, non_elements, sumset
+from .natset import DensitySample, NatSet, count_in, density_profile
 from .sequences import RatioAnalysis, SequenceSpec, analyze_ratio, generate
 
 __all__ = [
     "BlockBuild",
-    "CoverCertificate",
     "ComplementBuild",
     "build_complement",
-    "verify_cover",
-    "density_zero_diagnostic",
 ]
 
 #: Families whose tail bound holds beyond the horizon: powers, as a_{n+1} = k * a_n exactly.
@@ -40,21 +37,6 @@ class BlockBuild(NamedTuple):
     exponent: int
     trace: GreedyTrace
     translate_bound_ok: bool  # |A n (q, 4q]| <= r, re-checked at runtime
-
-
-class CoverCertificate(NamedTuple):
-    """Machine-checkable claim that every n in (lo, hi] lies in A + B.
-
-    missing is the NatSet of uncovered points, empty exactly when ok holds;
-    the digests bind the claim to the precise sets it was computed from.
-    """
-
-    lo: int
-    hi: int
-    ok: bool
-    missing: NatSet
-    a_digest: str
-    b_digest: str
 
 
 class ComplementBuild(NamedTuple):
@@ -71,68 +53,6 @@ class ComplementBuild(NamedTuple):
     complement: NatSet
     coverage: CoverCertificate
     density: tuple[DensitySample, ...]
-
-
-def verify_cover(a: NatSet, b: NatSet, lo: int, hi: int) -> CoverCertificate:
-    """Exact coverage check of (lo, hi] by A + B.
-
-    A point n is covered iff some pair sums to it; the missing set is
-    complete, not sampled.  Requires hi within both horizons.
-    """
-    if hi > a.horizon or hi > b.horizon:
-        raise ValueError(
-            f"hi={hi} beyond a horizon (a: {a.horizon}, b: {b.horizon}); "
-            "exactness would be lost"
-        )
-    missing = non_elements(sumset(a, b, max(hi, 1)), lo, hi)
-    return CoverCertificate(
-        lo=lo,
-        hi=hi,
-        ok=not missing,
-        missing=missing,
-        a_digest=a.content_digest(),
-        b_digest=b.content_digest(),
-    )
-
-
-def geometric_points(limit: int, count: int) -> list[int]:
-    """Roughly geometrically spaced integers in [1, limit], deduplicated."""
-    if limit < 1:
-        raise ValueError(f"sample limit must be at least 1, got {limit}")
-    if count < 1:
-        raise ValueError(f"sample count must be at least 1, got {count}")
-    if count == 1:
-        return [limit]
-    pts = {round(limit ** (j / (count - 1))) for j in range(count)}
-    pts.add(limit)
-    return sorted(max(p, 1) for p in pts)
-
-
-def density_zero_diagnostic(
-    xs: Sequence[int] | Iterable[int], sample_count: int = 16
-) -> list[tuple[int, float]]:
-    """Partial averages (1/t) * sum of ln(x_i)/x_i at geometrically spaced t.
-
-    For any increasing sequence these averages sink toward zero, which is
-    the engine behind the complement's vanishing density; the diagnostic
-    makes that visible on finite data.  Accepts any iterable with a length
-    (ranges included) and checks strict monotonicity on the fly.
-    """
-    total = len(xs)  # type: ignore[arg-type]
-    if total < 1:
-        raise ValueError("need a nonempty sequence")
-    ts = set(geometric_points(total, sample_count))
-    out: list[tuple[int, float]] = []
-    running = 0.0
-    prev = 0
-    for idx, x in enumerate(xs, 1):
-        if x <= prev:
-            raise ValueError(f"sequence must be strictly increasing ({x} after {prev})")
-        prev = x
-        running += math.log(x) / x
-        if idx in ts:
-            out.append((idx, running / idx))
-    return out
 
 
 def _build_blocks(a: NatSet, analysis: RatioAnalysis, horizon: int) -> list[BlockBuild]:

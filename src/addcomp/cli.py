@@ -14,18 +14,19 @@ from __future__ import annotations
 import argparse
 import sys
 
-# Handlers import builder, greedy and json where they call them, so gap and --version load none.
+# Handlers import builder, greedy, oracle and json where they call them; gap and --version load none.
 from . import __version__
+from .cover import gap_detector, verify_cover
 from .errors import AddcompError, CoverFailed, NoCover, PreconditionViolated
 from .natset import (
     NatSet,
     count_in,
     density_profile,
+    geometric_points,
     non_elements,
     read_set_file,
     write_set_file,
 )
-from .oracle import gap_detector, minimal_cover
 from .sequences import FAMILIES, generate, parse_spec
 
 __all__ = ["main"]
@@ -44,7 +45,7 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise ValueError(f"range must look like LO..HI, got {text!r}") from None
     if hi < lo:
         raise ValueError(f"range upper end {hi} below lower end {lo}")
-    if hi == lo:
+    if hi <= max(lo, 0):  # (LO, HI] holds no natural number
         raise ValueError(f"range ({lo}, {hi}] is empty")
     return lo, hi
 
@@ -169,16 +170,15 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .builder import verify_cover
     lo, hi = _parse_range(args.range)
-    a = _base_set(args, max(hi, 1))
+    a = _base_set(args, hi)
     # Disjointness is checked up to A's horizon, coverage only up to hi; B is
     # clipped to hi but never extended past the horizon it was read at.
     b = read_set_file(args.b_file, a.horizon)
     if not b.isdisjoint(a):
         _print_points(a & b, label="B meets A in")
         return 1
-    cert = verify_cover(a, b.with_horizon(min(max(hi, 1), a.horizon)), lo, hi)
+    cert = verify_cover(a, b.with_horizon(min(hi, a.horizon)), lo, hi)
     if cert.ok:
         print(f"coverage ({lo}, {hi}] verified; a={cert.a_digest[:12]} b={cert.b_digest[:12]}")
         return 0
@@ -222,7 +222,6 @@ def _cmd_thin(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    from .builder import geometric_points
     s = _base_set(args)
     points = geometric_points(s.horizon, args.samples)
     samples = density_profile(s, points)
@@ -249,7 +248,7 @@ def _cmd_density(args) -> int:
 
 def _cmd_gap(args) -> int:
     lo, hi = _parse_range(args.range)
-    a = _base_set(args, max(hi, 1))
+    a = _base_set(args, hi)
     gaps = gap_detector(a, lo, hi)
     if not gaps:
         print(f"no gaps in ({lo}, {hi}]: every point splits as (element) + (non-element)")
@@ -264,6 +263,7 @@ def _cmd_gap(args) -> int:
 
 def _cmd_oracle(args) -> int:
     from .greedy import greedy_cover
+    from .oracle import minimal_cover
     if args.b_file is not None:
         _reject_flags(args, ("x1", "x2"), "--b-file")
     elif args.x1 is None or args.x2 is None:

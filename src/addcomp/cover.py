@@ -1,10 +1,9 @@
-"""Block covers: (n, end] is reachable as A + ((m, end] minus A).
+"""Coverage checks: A + B covers (lo, hi], and these points are left.
 
-The core fact: when n >= 2m and the initial segment A n [1, m] outnumbers
-the slice A n (m, end], every target in (n, end] is a sum of an element of
-A and a non-element of A drawn from (m, end].  block_cover() checks the
-counting preconditions, builds the candidate set, and verifies the cover by
-an exact sumset.
+block_cover() proves (n, end] inside A + ((m, end] minus A) for one block once
+its counting preconditions hold, by exact sumset; verify_cover() checks a given
+B and binds the claim to both digests; gap_detector() lists the points of
+(lo, hi] that no non-element of A reaches.
 """
 
 from __future__ import annotations
@@ -12,12 +11,14 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import CoverFailed, PreconditionViolated
-from .natset import NatSet, count_in, from_interval, non_elements, reflect, sumset
+from .natset import NatSet, count_in, from_interval, non_elements, sumset
 
 __all__ = [
     "BlockCoverResult",
+    "CoverCertificate",
     "block_cover",
-    "translate_count_lower_bound",
+    "verify_cover",
+    "gap_detector",
 ]
 
 
@@ -26,6 +27,21 @@ class BlockCoverResult(NamedTuple):
 
     candidate_set: NatSet
     covered: NatSet
+
+
+class CoverCertificate(NamedTuple):
+    """Machine-checkable claim that every n in (lo, hi] lies in A + B.
+
+    missing is the NatSet of uncovered points, empty exactly when ok holds;
+    the digests bind the claim to the precise sets it was computed from.
+    """
+
+    lo: int
+    hi: int
+    ok: bool
+    missing: NatSet
+    a_digest: str
+    b_digest: str
 
 
 def block_cover(a: NatSet, m: int, n: int, end: int) -> BlockCoverResult:
@@ -59,18 +75,37 @@ def block_cover(a: NatSet, m: int, n: int, end: int) -> BlockCoverResult:
     return BlockCoverResult(candidate, from_interval(n, end, "(]", horizon=end))
 
 
-def translate_count_lower_bound(
-    a: NatSet, b: NatSet, lo: int, hi: int, n: int
-) -> tuple[int, int]:
-    """Both sides of the translate-count lower bound at the point n.
+def verify_cover(a: NatSet, b: NatSet, lo: int, hi: int) -> CoverCertificate:
+    """Exact coverage check of (lo, hi] by A + B.
 
-    Requires b subset of (lo, hi].  Returns (lhs, rhs) where
-    lhs = |A n (n - B)| counts the translates A + i, i in B, containing n,
-    and rhs = |A n [n-hi, n-lo)| - (hi - lo - |B|).  Callers assert
-    lhs >= rhs; rhs may be negative.
+    A point n is covered iff some pair sums to it; the missing set is
+    complete, not sampled.  Requires hi within both horizons.
     """
-    if count_in(b, lo, hi) != len(b):
-        raise PreconditionViolated("B subset of (lo, hi]", f"B has elements outside ({lo}, {hi}]")
-    lhs = len(reflect(n, b, a.horizon) & a)
-    rhs = count_in(a, n - hi, n - lo, "[)") - (hi - lo - len(b))
-    return lhs, rhs
+    if hi > a.horizon or hi > b.horizon:
+        raise ValueError(
+            f"hi={hi} beyond a horizon (a: {a.horizon}, b: {b.horizon}); "
+            "exactness would be lost"
+        )
+    missing = non_elements(sumset(a, b, max(hi, 1)), lo, hi)
+    return CoverCertificate(
+        lo=lo,
+        hi=hi,
+        ok=not missing,
+        missing=missing,
+        a_digest=a.content_digest(),
+        b_digest=b.content_digest(),
+    )
+
+
+def gap_detector(a: NatSet, lo: int, hi: int) -> NatSet:
+    """Points of (lo, hi] not expressible as a + v with a in A, v not in A.
+
+    Uses the whole complement of A within [1, hi] as the candidate side, so
+    a nonempty result proves no subset of the complement can cover those
+    points either.  Within (lo, hi] the evidence is exact: sums involving
+    anything beyond hi cannot land at or below hi.  The sumset stops as soon
+    as no later shift can reach a new point up to hi, so a reach that fills
+    early costs a few shifts, not one per element of the complement
+    (composites at 10^6: two shifts, not one for each of about 78k primes).
+    """
+    return non_elements(sumset(a, non_elements(a, 0, hi), max(hi, 1)), lo, hi)

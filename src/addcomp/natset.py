@@ -10,6 +10,7 @@ hot paths (sumset, interval counting) single big-integer shifts and masks;
 sumset also stops shifting once the clipped result can no longer grow.
 point_flags and from_flags convert between a set and one byte per point,
 both at C speed, so a sieve's flags become a set with no Python loop.
+density_profile counts a set at the sample points geometric_points picks.
 
 NatSet values are immutable after construction, so any number of threads
 may read them concurrently.
@@ -28,7 +29,6 @@ __all__ = [
     "non_elements",
     "point_flags",
     "from_flags",
-    "reflect",
     "count_in",
     "density_profile",
     "read_set_file",
@@ -267,11 +267,6 @@ def from_flags(flags: bytes, horizon: int) -> NatSet:
     return NatSet._from_mask(int(flags.translate(_BYTE_BITS)[::-1] or b"0", 2), horizon)
 
 
-def reflect(u: int, b: NatSet, horizon: int) -> NatSet:
-    """{u - y : y in b} intersected with [1, horizon]."""
-    return NatSet((u - y for y in b if 1 <= u - y <= horizon), horizon)
-
-
 def count_in(a: NatSet, lo: int, hi: int, kind: str = "(]") -> int:
     """|a intersect interval|; bounds outside [1, horizon] clip harmlessly."""
     return (a._mask & _range_mask(*_clipped_bounds(lo, hi, kind, a._horizon))).bit_count()
@@ -298,6 +293,19 @@ def density_profile(a: NatSet, sample_points: Sequence[int]) -> tuple[DensitySam
     if not samples:
         raise ValueError("need at least one sample point")
     return tuple(samples)
+
+
+def geometric_points(limit: int, count: int) -> list[int]:
+    """Roughly geometrically spaced integers in [1, limit], deduplicated."""
+    if limit < 1:
+        raise ValueError(f"sample limit must be at least 1, got {limit}")
+    if count < 1:
+        raise ValueError(f"sample count must be at least 1, got {count}")
+    if count == 1:
+        return [limit]
+    pts = {round(limit ** (j / (count - 1))) for j in range(count)}
+    pts.add(limit)
+    return sorted(max(p, 1) for p in pts)
 
 
 # ---------------------------------------------------------------------------

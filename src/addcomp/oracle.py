@@ -1,21 +1,29 @@
-"""Independent brute-force references for differential testing.
+"""Independent brute-force references and the checks only tests call.
 
 No reference shares an algorithm with the fast paths: the sumset reference
 is a plain double loop, minimal_cover enumerates subsets, and the greedy
 reference recomputes every gain at every step, so the optimized code has
-something honest to be checked against.  gap_detector is not a reference:
-it is the `gap` command, and it runs on natset.sumset.
+something honest to be checked against.  The lemma checks beside them
+(ratio_tail_holds, translate_count_lower_bound with its helper reflect,
+density_zero_diagnostic) state facts the tests assert; no command runs them.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+from typing import Iterable, Sequence
+
 from .errors import CoverFailed, NoCover, PreconditionViolated, TooLarge
-from .natset import NatSet, non_elements, sumset
+from .natset import NatSet, count_in, geometric_points
 
 __all__ = [
     "minimal_cover",
-    "gap_detector",
     "sumset_reference",
+    "ratio_tail_holds",
+    "reflect",
+    "translate_count_lower_bound",
+    "density_zero_diagnostic",
 ]
 
 #: Exhaustive subset search is 2^|B|; beyond this it stops being a desk run.
@@ -88,20 +96,6 @@ def minimal_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[NatSet, int]:
     raise NoCover("unreachable: the full set covers but no subset size did")
 
 
-def gap_detector(a: NatSet, lo: int, hi: int) -> NatSet:
-    """Points of (lo, hi] not expressible as a + v with a in A, v not in A.
-
-    Uses the whole complement of A within [1, hi] as the candidate side, so
-    a nonempty result proves no subset of the complement can cover those
-    points either.  Within (lo, hi] the evidence is exact: sums involving
-    anything beyond hi cannot land at or below hi.  The sumset stops as soon
-    as no later shift can reach a new point up to hi, so a reach that fills
-    early costs a few shifts, not one per element of the complement
-    (composites at 10^6: two shifts, not one for each of about 78k primes).
-    """
-    return non_elements(sumset(a, non_elements(a, 0, hi), max(hi, 1)), lo, hi)
-
-
 def sumset_reference(a: NatSet, b: NatSet, horizon: int) -> NatSet:
     """O(|A| * |B|) element-pair sumset; same contract as natset.sumset."""
     b_list = b.to_list()
@@ -152,3 +146,60 @@ def _greedy_cover_reference(a: NatSet, b: NatSet, m: int, n: int):
         chosen.append(best_b)
         gains.append(best_g)
     return chosen, gains
+
+
+def ratio_tail_holds(seq: Sequence[int], n0: int, alpha: Fraction) -> bool:
+    """Exact check of the tail bound over every in-horizon index n >= n0 >= 1."""
+    if n0 < 1:
+        raise ValueError(f"n0 >= 1: got n0={n0}")
+    num, den = alpha.numerator, alpha.denominator
+    return all(seq[i + 1] * den >= seq[i] * num for i in range(n0 - 1, len(seq) - 1))
+
+
+def reflect(u: int, b: NatSet, horizon: int) -> NatSet:
+    """{u - y : y in b} intersected with [1, horizon]."""
+    return NatSet((u - y for y in b if 1 <= u - y <= horizon), horizon)
+
+
+def translate_count_lower_bound(
+    a: NatSet, b: NatSet, lo: int, hi: int, n: int
+) -> tuple[int, int]:
+    """Both sides of the translate-count lower bound at the point n.
+
+    Requires b subset of (lo, hi].  Returns (lhs, rhs) where
+    lhs = |A n (n - B)| counts the translates A + i, i in B, containing n,
+    and rhs = |A n [n-hi, n-lo)| - (hi - lo - |B|).  Callers assert
+    lhs >= rhs; rhs may be negative.
+    """
+    if count_in(b, lo, hi) != len(b):
+        raise PreconditionViolated("B subset of (lo, hi]", f"B has elements outside ({lo}, {hi}]")
+    lhs = len(reflect(n, b, a.horizon) & a)
+    rhs = count_in(a, n - hi, n - lo, "[)") - (hi - lo - len(b))
+    return lhs, rhs
+
+
+def density_zero_diagnostic(
+    xs: Sequence[int] | Iterable[int], sample_count: int = 16
+) -> list[tuple[int, float]]:
+    """Partial averages (1/t) * sum of ln(x_i)/x_i at geometrically spaced t.
+
+    For any increasing sequence these averages sink toward zero, which is
+    the engine behind the complement's vanishing density; the diagnostic
+    makes that visible on finite data.  Accepts any iterable with a length
+    (ranges included) and checks strict monotonicity on the fly.
+    """
+    total = len(xs)  # type: ignore[arg-type]
+    if total < 1:
+        raise ValueError("need a nonempty sequence")
+    ts = set(geometric_points(total, sample_count))
+    out: list[tuple[int, float]] = []
+    running = 0.0
+    prev = 0
+    for idx, x in enumerate(xs, 1):
+        if x <= prev:
+            raise ValueError(f"sequence must be strictly increasing ({x} after {prev})")
+        prev = x
+        running += math.log(x) / x
+        if idx in ts:
+            out.append((idx, running / idx))
+    return out

@@ -25,7 +25,6 @@ __all__ = [
     "parse_spec",
     "generate",
     "analyze_ratio",
-    "ratio_tail_holds",
 ]
 
 #: Candidate growth bounds tried (largest first) when no hint is given.
@@ -221,14 +220,6 @@ def _min_tail_start(seq: Sequence[int], alpha: Fraction) -> int | None:
     while n >= 1 and seq[n] * den >= seq[n - 1] * num:
         n -= 1
     return n + 1 if n + 1 < len(seq) else None
-
-
-def ratio_tail_holds(seq: Sequence[int], n0: int, alpha: Fraction) -> bool:
-    """Exact check of the tail bound over every in-horizon index n >= n0 >= 1."""
-    if n0 < 1:
-        raise ValueError(f"n0 >= 1: got n0={n0}")
-    num, den = alpha.numerator, alpha.denominator
-    return all(seq[i + 1] * den >= seq[i] * num for i in range(n0 - 1, len(seq) - 1))
 
 
 def analyze_ratio(a: NatSet, alpha_hint=None) -> RatioAnalysis:

@@ -24,6 +24,7 @@ from addcomp import (
     reflect,
     sumset,
     sumset_reference,
+    write_set_file,
 )
 from addcomp import natset
 
@@ -33,8 +34,22 @@ MODULES = ("addcomp", *(f"addcomp.{name}" for name in (
 #: The seven modules whose names the package re-exports.
 LIBRARY = tuple(module for module in MODULES[1:] if module != "addcomp.cli")
 
-#: Modules that only build, verify, thin, density and oracle run; gap and --version load none.
-DEFERRED = ("addcomp.builder", "addcomp.greedy", "addcomp.cover", "hashlib", "json")
+#: Modules a command loads only when it runs them.
+DEFERRED = ("addcomp.builder", "addcomp.greedy", "addcomp.cover", "addcomp.oracle", "hashlib",
+            "json")
+
+#: Which of DEFERRED each command loads; "{b}" and "{report}" are files under tmp_path.
+COMMAND_LOADS = [
+    (["--version"], {"addcomp.cover"}),
+    (["gap", "powers:2", "--range", "100..200"], {"addcomp.cover"}),
+    (["density", "powers:2", "--horizon", "1024", "--format", "csv"], {"addcomp.cover"}),
+    (["verify", "powers:2", "{b}", "--range", "128..512"], {"addcomp.cover", "hashlib"}),
+    (["thin", "powers:2", "--q", "64"], {"addcomp.cover", "addcomp.greedy"}),
+    (["build", "powers:2", "--horizon", "1024", "--report", "{report}"],
+     {"addcomp.builder", "addcomp.greedy", "addcomp.cover", "hashlib", "json"}),
+    (["oracle", "powers:2", "--horizon", "32", "--m", "8", "--n", "8", "--x1", "4", "--x2", "16"],
+     {"addcomp.greedy", "addcomp.cover", "addcomp.oracle"}),
+]
 
 #: Public names that were removed; none may come back through an export list.
 REMOVED = ("translate", "translate_count_upper_bound", "HypothesisViolated", "read_elements",
@@ -103,19 +118,25 @@ def test_horizon_is_never_inferred():
     assert not hasattr(natset, "_pick_horizon")
 
 
-def test_cli_import_stays_lean(tmp_path):
-    # record types are NamedTuples, so neither dataclasses nor inspect is loaded at start-up;
-    # what gap and --version do not run is loaded by the first command that does
-    report = tmp_path / "R.json"
+@pytest.mark.parametrize("argv, loads", COMMAND_LOADS, ids=[
+    "version", "gap", "density-csv", "verify", "thin-q", "build-report", "oracle"])
+def test_each_command_loads_only_its_layers(tmp_path, argv, loads):
+    # record types are NamedTuples, so neither dataclasses nor inspect is ever loaded;
+    # of DEFERRED, a command loads just what it runs.  The spawn keeps this process's
+    # cwd and environment, so a relative PYTHONPATH still finds addcomp.
+    b = tmp_path / "B.set"
+    write_set_file(b, [x for x in range(1, 513) if x & (x - 1)])  # every non-power of two
+    argv = [arg.format(b=b, report=tmp_path / "R.json") for arg in argv]
     code = (
         "import sys, addcomp.cli\n"
-        f"print(sorted({{'dataclasses', 'inspect', *{DEFERRED}}} & set(sys.modules)))\n"
-        f"addcomp.cli.main(['build', 'powers:2', '--horizon', '1024', '--report', {str(report)!r}])\n"
-        f"print(sorted(set({DEFERRED}) - set(sys.modules)))\n"
+        "try:\n"
+        f"    code = addcomp.cli.main({argv!r})\n"
+        "except SystemExit as exc:  # --version exits from argparse\n"
+        "    code = exc.code\n"
+        f"print(code, sorted(m for m in ('dataclasses', 'inspect', *{DEFERRED}) if m in sys.modules))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    lines = out.stdout.splitlines()
-    assert (lines[0], lines[-1]) == ("[]", "[]"), out.stdout
+    assert out.stdout.splitlines()[-1] == f"0 {sorted(loads)}", out.stdout
 
 
 def test_package_resolves_names_on_first_use():

@@ -16,8 +16,10 @@ from addcomp import (
     sumset,
     verify_cover,
 )
-from addcomp.builder import _build_blocks, geometric_points
-from addcomp.sequences import _generate_geometric, analyze_ratio, ratio_tail_holds
+from addcomp.builder import _build_blocks
+from addcomp.natset import geometric_points
+from addcomp.oracle import ratio_tail_holds
+from addcomp.sequences import _generate_geometric, analyze_ratio
 
 
 def test_build_powers_small_horizon():

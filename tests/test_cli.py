@@ -505,7 +505,11 @@ def test_density_names_the_sample_count(capsys, samples):
     # (LO, LO] holds no point, so there is no coverage to verify and no gap to find
     (["verify", "powers:2", "B.set", "--range", "5..5"], "range (5, 5] is empty"),
     (["gap", "powers:2", "--range", "7..7"], "range (7, 7] is empty"),
-], ids=["alpha", "density-horizon", "range", "verify-empty-range", "gap-empty-range"])
+    # nor does a range with no point above 0
+    (["verify", "powers:2", "B.set", "--range=-10..0"], "range (-10, 0] is empty"),
+    (["gap", "powers:2", "--range=-10..0"], "range (-10, 0] is empty"),
+], ids=["alpha", "density-horizon", "range", "verify-empty-range", "gap-empty-range",
+        "verify-nonpositive-range", "gap-nonpositive-range"])
 def test_bad_arguments_name_their_clause(capsys, argv, clause):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {clause}\n"
