@@ -22,9 +22,9 @@ cutoff = floor(depth / ln depth) the selection satisfies
 
     |S| <= (|B| / depth) * H(cutoff) + n / cutoff
 
-where H is the exact harmonic number.  Depths below 3 are a degenerate
-regime where the cutoff formula collapses; thinning is skipped there and
-S = B is returned with the trace flagged.
+where H is the exact harmonic number.  Below depth 3 thinning is skipped
+(ln 1 = 0 leaves depth 1 no cutoff; depth 2, where floor(2 / ln 2) = 2,
+is kept whole by policy) and S = B is returned with the trace flagged.
 
 Each fact is checked once, by its owner.  GreedyInstance.validate checks
 the instance's shape, B inside (x1, x2] (one count), m + n <= x2 and
@@ -56,12 +56,9 @@ __all__ = [
     "greedy_cover",
     "greedy_thin",
     "thin_block",
-    "choose_gain_cutoff",
-    "two_term_bound",
-    "closed_form_bound",
 ]
 
-#: Depths below this skip thinning entirely (floor(d / ln d) is 0 or undefined).
+#: Depths below this skip thinning (ln 1 = 0; depth 2 is kept whole by policy).
 DEGENERATE_DEPTH = 3
 
 
@@ -281,38 +278,10 @@ def greedy_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[array, array]:
     return chosen, gains
 
 
-def choose_gain_cutoff(depth: int) -> int:
-    """floor(depth / ln depth) for depth >= 3; 1 in the degenerate regime."""
-    if depth < DEGENERATE_DEPTH:
-        return 1
-    return int(depth / math.log(depth))
-
-
-def _harmonic(k: int) -> Fraction:
-    return sum((Fraction(1, i) for i in range(1, k + 1)), Fraction(0))
-
-
-def _check_bound_args(depth: int, cutoff: int) -> None:
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be at least 1, got {cutoff}")
-    if depth < 1:
-        raise ValueError(f"depth must be at least 1, got {depth}")
-
-
 def _two_term_bound_exact(num_candidates: int, depth: int, num_targets: int, cutoff: int) -> Fraction:
-    _check_bound_args(depth, cutoff)
-    return Fraction(num_candidates, depth) * _harmonic(cutoff) + Fraction(num_targets, cutoff)
-
-
-def two_term_bound(num_candidates: int, depth: int, num_targets: int, cutoff: int) -> float:
-    """(|B| / depth) * H(cutoff) + n / cutoff, exact rationals reported as float."""
-    return float(_two_term_bound_exact(num_candidates, depth, num_targets, cutoff))
-
-
-def closed_form_bound(num_candidates: int, depth: int, num_targets: int, cutoff: int) -> float:
-    """Same shape with H(cutoff) relaxed to 1 + ln cutoff (its elementary bound)."""
-    _check_bound_args(depth, cutoff)
-    return (num_candidates / depth) * (1.0 + math.log(cutoff)) + num_targets / cutoff
+    """(|B| / depth) * H(cutoff) + n / cutoff, with H the exact harmonic number."""
+    harmonic = sum((Fraction(1, i) for i in range(1, cutoff + 1)), Fraction(0))
+    return Fraction(num_candidates, depth) * harmonic + Fraction(num_targets, cutoff)
 
 
 def greedy_thin(inst: GreedyInstance) -> tuple[NatSet, GreedyTrace]:
@@ -324,9 +293,8 @@ def greedy_thin(inst: GreedyInstance) -> tuple[NatSet, GreedyTrace]:
     leave both bounds None and select B itself.
     """
     depth = inst.validate()
-    cutoff = choose_gain_cutoff(depth)
-    two_term = closed_form = None
     if depth < DEGENERATE_DEPTH:
+        cutoff, two_term, closed_form = 1, None, None
         chosen = array("q", inst.b)
         lo, a_list, view, read = _target_flags(inst.a, inst.b, inst.m, inst.n)
         gains = array("q")
@@ -338,8 +306,10 @@ def greedy_thin(inst: GreedyInstance) -> tuple[NatSet, GreedyTrace]:
                 view[i + x] = 0
     else:
         chosen, gains = greedy_cover(inst.a, inst.b, inst.m, inst.n)
-        two_term = two_term_bound(len(inst.b), depth, inst.n, cutoff)
-        closed_form = closed_form_bound(len(inst.b), depth, inst.n, cutoff)
+        cutoff = int(depth / math.log(depth))
+        two_term = float(_two_term_bound_exact(len(inst.b), depth, inst.n, cutoff))
+        # H(cutoff) relaxed to 1 + ln cutoff, its elementary bound
+        closed_form = (len(inst.b) / depth) * (1.0 + math.log(cutoff)) + inst.n / cutoff
     trace = GreedyTrace(
         chosen=chosen,
         gains=gains,

@@ -318,13 +318,15 @@ def read_set_file(path, horizon: int | None = None) -> NatSet:
     """Load a set file; elements beyond an explicit horizon are clipped.
 
     With no horizon, the horizon is the file's last element, or 1 for a
-    file with no elements.
+    file with no elements.  Bytes not UTF-8, read as U+DC80..U+DCFF, are refused.
     """
     out: list[int] = []
     prev = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.strip()
+            if not line.isascii() and any("\udc80" <= ch <= "\udcff" for ch in line):
+                raise ValueError(f"{path}:{line_no}: not UTF-8 text")
             if not line or line.startswith("#"):
                 continue
             try:

@@ -508,8 +508,21 @@ def test_density_names_the_sample_count(capsys, samples):
     # nor does a range with no point above 0
     (["verify", "powers:2", "B.set", "--range=-10..0"], "range (-10, 0] is empty"),
     (["gap", "powers:2", "--range=-10..0"], "range (-10, 0] is empty"),
+    # a value past 1000 digits is named by its power of ten (str() refuses 4300)
+    (["build", "powers:2", "--horizon", "1024", "--alpha", "1e5000"],
+     "no tail satisfies a_(n+1) >= about 10^5000 * a_n"),
+    (["build", "powers:2", "--horizon", "1024", "--alpha", "1e-5000"],
+     "ratio bound must exceed 1, got about 10^-5000"),
+    (["gap", "geometric:c=1,alpha=1e-5000", "--range", "1..10", "--horizon", "10"],
+     "geometric ratio must exceed 1, got about 10^-5000"),
+    (["gap", "geometric:c=-1e5000,alpha=2", "--range", "1..10", "--horizon", "10"],
+     "geometric scale must be positive, got about -10^5000"),
+    # alpha = 2 alone needs 10 terms below 1000; the scale asks for about 332,000 more
+    (["gap", "geometric:c=1e-99999,alpha=2", "--range", "1..100", "--horizon", "1000"],
+     "geometric scale too small for exact generation"),
 ], ids=["alpha", "density-horizon", "range", "verify-empty-range", "gap-empty-range",
-        "verify-nonpositive-range", "gap-nonpositive-range"])
+        "verify-nonpositive-range", "gap-nonpositive-range", "huge-alpha", "tiny-alpha",
+        "tiny-geometric-ratio", "huge-negative-scale", "tiny-scale"])
 def test_bad_arguments_name_their_clause(capsys, argv, clause):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {clause}\n"

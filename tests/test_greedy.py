@@ -15,8 +15,6 @@ from addcomp import (
     analyze_ratio,
     block_cover,
     build_complement,
-    choose_gain_cutoff,
-    closed_form_bound,
     count_in,
     from_interval,
     generate,
@@ -26,7 +24,6 @@ from addcomp import (
     parse_spec,
     sumset,
     thin_block,
-    two_term_bound,
 )
 from addcomp.greedy import _two_term_bound_exact
 from addcomp.oracle import _greedy_cover_reference
@@ -360,34 +357,33 @@ def test_positive_depth_forces_initial_cover():
         assert window.issubset(sumset(inst.a, inst.b, end))
 
 
-def test_gain_cutoff_values():
-    assert choose_gain_cutoff(100) == 21
-    assert choose_gain_cutoff(3) == 2
-    assert choose_gain_cutoff(1) == 1
-    assert choose_gain_cutoff(2) == 1  # degenerate guard, not floor(2 / ln 2)
+def _known_depth_instance(depth):
+    # A = {1..d} and B = (1, d+3] put the one target d+3 in d translates
+    return GreedyInstance(a=NatSet(range(1, depth + 1), depth + 3),
+                          b=from_interval(1, depth + 3, "(]", horizon=depth + 3),
+                          m=depth + 2, n=1, x1=1, x2=depth + 3)
+
+
+@pytest.mark.parametrize("depth, cutoff", [(1, 1), (2, 1), (3, 2), (100, 21), (2000, 263)])
+def test_gain_cutoff_at_known_depth(depth, cutoff):
+    _, trace = greedy_thin(_known_depth_instance(depth))
+    assert trace.depth == depth
+    assert trace.gain_cutoff == cutoff
+    assert trace.degenerate == (depth < 3)  # depth 2 by policy, not floor(2 / ln 2) = 2
 
 
 def test_two_term_bound_arithmetic():
-    assert two_term_bound(10, 5, 8, 2) == 7.0  # (10/5)(1 + 1/2) + 8/2
-    assert two_term_bound(7, 3, 9, 1) == 7 / 3 + 9  # H(1) = 1
+    assert _two_term_bound_exact(10, 5, 8, 2) == 7  # (10/5)(1 + 1/2) + 8/2
+    assert _two_term_bound_exact(7, 3, 9, 1) == Fraction(7, 3) + 9  # H(1) = 1
     harmonic_50 = sum(Fraction(1, i) for i in range(1, 51))
-    assert two_term_bound(1000, 1000, 50, 50) == float(harmonic_50 + 1)
-    with pytest.raises(ValueError):
-        two_term_bound(10, 5, 8, 0)
-    with pytest.raises(ValueError):
-        two_term_bound(10, 0, 8, 2)
+    assert _two_term_bound_exact(1000, 1000, 50, 50) == harmonic_50 + 1
 
 
 def test_closed_form_dominates_two_term():
     rng = random.Random(52)
     for _ in range(50):
-        candidates = rng.randint(1, 500)
-        depth = rng.randint(1, 80)
-        targets = rng.randint(1, 400)
-        cutoff = rng.randint(1, 60)
-        assert closed_form_bound(candidates, depth, targets, cutoff) >= two_term_bound(
-            candidates, depth, targets, cutoff
-        ) - 1e-9
+        _, trace = greedy_thin(random_greedy_instance(rng, min_depth=3))
+        assert trace.bound_closed_form >= trace.bound_two_term - 1e-9
 
 
 def test_thin_block_degenerate_returns_everything():
@@ -438,8 +434,12 @@ def test_trace_identities_on_random_instances():
         # every target is counted exactly once, at the step that covered it
         assert sum(g * k for g, k in trace.gain_counts.items()) == inst.n
         assert sum(trace.gain_counts.values()) == len(trace.chosen) == len(selected)
-        # the selection respects the two-term bound, compared exactly
+        # the trace reports the cutoff floor(d / ln d) and both bounds at that cutoff
+        assert trace.gain_cutoff == math.floor(trace.depth / math.log(trace.depth))
         bound = _two_term_bound_exact(len(inst.b), trace.depth, inst.n, trace.gain_cutoff)
+        assert trace.bound_two_term == float(bound)
+        assert trace.bound_closed_form >= trace.bound_two_term - 1e-9
+        # the selection respects the two-term bound, compared exactly
         assert len(selected) <= bound
 
 
@@ -466,4 +466,6 @@ def test_depth_matches_hand_count():
 
 def test_cutoff_floor_against_log():
     for depth in range(3, 2000, 37):
-        assert choose_gain_cutoff(depth) == math.floor(depth / math.log(depth))
+        _, trace = greedy_thin(_known_depth_instance(depth))
+        assert trace.depth == depth
+        assert trace.gain_cutoff == math.floor(depth / math.log(depth))

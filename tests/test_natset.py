@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import tracemalloc
 
@@ -416,3 +417,14 @@ def test_set_file_checks_order_above_horizon(tmp_path):
     path.write_text("1\n200\n150\n")
     with pytest.raises(ValueError, match=r":3: elements must be strictly increasing \(150 after 200\)"):
         read_set_file(path, horizon=100)
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"\xff\n", 1),
+    (b"3\n# caf\xc3\xa9\n5\n# caf\xe9\n7\n", 4),  # UTF-8 on line 2, Latin-1 on line 4
+], ids=["first-byte", "comment"])
+def test_set_file_names_the_line_that_is_not_utf8(tmp_path, data, line):
+    path = tmp_path / "bad.set"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: not UTF-8 text$"):
+        read_set_file(path)
