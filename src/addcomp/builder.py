@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import NamedTuple
 
-from .cover import CoverCertificate, verify_cover
+from .cover import verify_cover
 from .errors import BlockPreconditionFailed, CoverFailed, PreconditionViolated
 from .greedy import GreedyTrace, thin_block
 from .natset import DensitySample, NatSet, count_in, density_profile
@@ -51,7 +51,7 @@ class ComplementBuild(NamedTuple):
     certified: bool
     blocks: tuple[BlockBuild, ...]
     complement: NatSet
-    coverage: CoverCertificate
+    missing: NatSet  # the points of (analysis.threshold, missing.horizon] A + B misses
     density: tuple[DensitySample, ...]
 
 
@@ -87,9 +87,9 @@ def _build_blocks(a: NatSet, analysis: RatioAnalysis, horizon: int) -> list[Bloc
 def build_complement(spec: SequenceSpec, alpha_hint=None) -> ComplementBuild:
     """Run the full pipeline and return the verified build.
 
-    The coverage certificate spans (threshold, hi]: hi is the end of the
-    last block, halved when that end is the horizon itself unless halving
-    would leave the range empty, so hi may equal the horizon.  sumset is
+    build.missing checks (threshold, hi], hi its horizon: the end of the last
+    block, halved when that end is the horizon itself unless halving would
+    leave the range empty, so hi may equal the horizon.  sumset is
     exact up to its horizon, so nothing is certified beyond exact
     knowledge.  Density is sampled at powers of two from the threshold
     upward.
@@ -112,7 +112,6 @@ def build_complement(spec: SequenceSpec, alpha_hint=None) -> ComplementBuild:
     hi = 1 << (blocks[-1].exponent + 2)
     if hi == h and hi >> 1 > analysis.threshold:
         hi >>= 1
-    coverage = verify_cover(a, complement, analysis.threshold, hi)
 
     samples = [1 << j for j in range(analysis.gamma + 1, h.bit_length())]
     density = density_profile(complement, samples)
@@ -122,6 +121,6 @@ def build_complement(spec: SequenceSpec, alpha_hint=None) -> ComplementBuild:
         certified=spec.family in _CERTIFIED_FAMILIES,
         blocks=tuple(blocks),
         complement=complement,
-        coverage=coverage,
+        missing=verify_cover(a, complement, analysis.threshold, hi),
         density=density,
     )

@@ -21,6 +21,7 @@ from .errors import AddcompError, CoverFailed, NoCover, PreconditionViolated
 from .natset import (
     NatSet,
     count_in,
+    decimal_digits,
     density_profile,
     geometric_points,
     non_elements,
@@ -42,6 +43,9 @@ def _parse_range(text: str) -> tuple[int, int]:
     try:
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
+        digits = [decimal_digits(part) for part in (lo_text, hi_text)]
+        if all(digits):  # so int() refused one for its length
+            raise ValueError(f"range end too long to read ({max(digits)} digits)") from None
         raise ValueError(f"range must look like LO..HI, got {text!r}") from None
     if hi < lo:
         raise ValueError(f"range upper end {hi} below lower end {lo}")
@@ -118,10 +122,10 @@ def _build_report(build: ComplementBuild) -> dict:
             for blk in build.blocks
         ],
         "coverage": {
-            "lo": build.coverage.lo,
-            "hi": build.coverage.hi,
-            "ok": build.coverage.ok,
-            "missing_count": len(build.coverage.missing),
+            "lo": build.analysis.threshold,
+            "hi": build.missing.horizon,
+            "ok": not build.missing,
+            "missing_count": len(build.missing),
         },
         "density_samples": [
             {"n": s.n, "count": s.count, "ratio": s.ratio} for s in build.density
@@ -157,15 +161,14 @@ def _cmd_build(args) -> int:
         write_set_file(args.out, build.complement, comment=f"complement of {build.source}")
     if args.report:
         _write_json(args.report, _build_report(build))
-    cov = build.coverage
     print(
         f"built {len(build.complement)} elements in {len(build.blocks)} blocks "
         f"(gamma={build.analysis.gamma}, threshold={build.analysis.threshold})"
     )
-    if cov.ok:
-        print(f"coverage ({cov.lo}, {cov.hi}] verified")
+    if not build.missing:
+        print(f"coverage ({build.analysis.threshold}, {build.missing.horizon}] verified")
         return 0
-    _print_points(cov.missing)
+    _print_points(build.missing)
     return 1
 
 
@@ -178,11 +181,13 @@ def _cmd_verify(args) -> int:
     if not b.isdisjoint(a):
         _print_points(a & b, label="B meets A in")
         return 1
-    cert = verify_cover(a, b.with_horizon(min(hi, a.horizon)), lo, hi)
-    if cert.ok:
-        print(f"coverage ({lo}, {hi}] verified; a={cert.a_digest[:12]} b={cert.b_digest[:12]}")
+    clipped = b.with_horizon(min(hi, a.horizon))
+    missing = verify_cover(a, clipped, lo, hi)
+    if not missing:
+        print(f"coverage ({lo}, {hi}] verified; "
+              f"a={a.content_digest()[:12]} b={clipped.content_digest()[:12]}")
         return 0
-    _print_points(cert.missing)
+    _print_points(missing)
     return 1
 
 
@@ -223,8 +228,7 @@ def _cmd_thin(args) -> int:
 
 def _cmd_density(args) -> int:
     s = _base_set(args)
-    points = geometric_points(s.horizon, args.samples)
-    samples = density_profile(s, points)
+    samples = density_profile(s, geometric_points(s.horizon, args.samples))
     if args.format == "csv":
         lines = ["n,count,ratio"]
         lines += [f"{x.n},{x.count},{x.ratio}" for x in samples]

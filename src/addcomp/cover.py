@@ -1,9 +1,9 @@
 """Coverage checks: A + B covers (lo, hi], and these points are left.
 
 block_cover() proves (n, end] inside A + ((m, end] minus A) for one block once
-its counting preconditions hold, by exact sumset; verify_cover() checks a given
-B and binds the claim to both digests; gap_detector() lists the points of
-(lo, hi] that no non-element of A reaches.
+its counting preconditions hold, by exact sumset; verify_cover() and
+gap_detector() return the NatSet of points of (lo, hi] that A + B misses, for
+a given B and for B the whole complement of A.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from .natset import NatSet, count_in, from_interval, non_elements, sumset
 
 __all__ = [
     "BlockCoverResult",
-    "CoverCertificate",
     "block_cover",
     "verify_cover",
     "gap_detector",
@@ -27,21 +26,6 @@ class BlockCoverResult(NamedTuple):
 
     candidate_set: NatSet
     covered: NatSet
-
-
-class CoverCertificate(NamedTuple):
-    """Machine-checkable claim that every n in (lo, hi] lies in A + B.
-
-    missing is the NatSet of uncovered points, empty exactly when ok holds;
-    the digests bind the claim to the precise sets it was computed from.
-    """
-
-    lo: int
-    hi: int
-    ok: bool
-    missing: NatSet
-    a_digest: str
-    b_digest: str
 
 
 def block_cover(a: NatSet, m: int, n: int, end: int) -> BlockCoverResult:
@@ -75,26 +59,17 @@ def block_cover(a: NatSet, m: int, n: int, end: int) -> BlockCoverResult:
     return BlockCoverResult(candidate, from_interval(n, end, "(]", horizon=end))
 
 
-def verify_cover(a: NatSet, b: NatSet, lo: int, hi: int) -> CoverCertificate:
-    """Exact coverage check of (lo, hi] by A + B.
+def verify_cover(a: NatSet, b: NatSet, lo: int, hi: int) -> NatSet:
+    """The NatSet of points of (lo, hi] that A + B misses, on horizon max(hi, 1).
 
-    A point n is covered iff some pair sums to it; the missing set is
-    complete, not sampled.  Requires hi within both horizons.
+    Exact, not sampled; hi must lie within both horizons.
     """
     if hi > a.horizon or hi > b.horizon:
         raise ValueError(
             f"hi={hi} beyond a horizon (a: {a.horizon}, b: {b.horizon}); "
             "exactness would be lost"
         )
-    missing = non_elements(sumset(a, b, max(hi, 1)), lo, hi)
-    return CoverCertificate(
-        lo=lo,
-        hi=hi,
-        ok=not missing,
-        missing=missing,
-        a_digest=a.content_digest(),
-        b_digest=b.content_digest(),
-    )
+    return non_elements(sumset(a, b, max(hi, 1)), lo, hi)
 
 
 def gap_detector(a: NatSet, lo: int, hi: int) -> NatSet:

@@ -18,6 +18,8 @@ may read them concurrently.
 
 from __future__ import annotations
 
+import math
+import re
 import sys
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -37,6 +39,7 @@ __all__ = [
 
 #: Interval notations: "(]" is (lo, hi], "[)" is [lo, hi), and so on.
 INTERVAL_KINDS = ("()", "(]", "[)", "[]")
+MAX_SAMPLES = 10**6  #: the largest sample count geometric_points accepts
 
 # For each byte value, the offsets of its set bits; used to enumerate members.
 _BYTE_OFFSETS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
@@ -73,12 +76,24 @@ def _iter_mask(mask: int) -> Iterator[int]:
                 yield base + off
 
 
+def show_number(x) -> str:
+    """An int or Fraction x exactly, or its power of ten once x passes 1000 digits."""
+    if max(abs(x.numerator), x.denominator) < 10**1000:
+        return str(x)
+    return f"about {'-' * (x < 0)}10^{math.log10(abs(x.numerator)) - math.log10(x.denominator):.0f}"
+
+
+def decimal_digits(text: str) -> int:
+    """Digits in a signed decimal text, else 0; int() refuses one only past its digit limit."""
+    return len(match[1]) if (match := re.fullmatch(r"\s*[+-]?(\d+)\s*", text)) else 0
+
+
 def check_horizon(horizon: int) -> None:
     """Raise ValueError unless 1 <= horizon < 8 * sys.maxsize, before anything is allocated."""
     if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
+        raise ValueError(f"horizon must be at least 1, got {show_number(horizon)}")
     if horizon >> 3 >= sys.maxsize:  # past the index range of a one-bit-per-point buffer
-        raise ValueError(f"horizon must be below {8 * sys.maxsize}, got {horizon}")
+        raise ValueError(f"horizon must be below {8 * sys.maxsize}, got {show_number(horizon)}")
 
 
 class NatSet:
@@ -177,8 +192,8 @@ class NatSet:
         return NatSet._from_mask(mask, horizon)
 
     def content_digest(self) -> str:
-        """SHA-256 over the canonical encoding; binds certificates to inputs."""
-        import hashlib  # here, so commands that certify nothing never load OpenSSL
+        """SHA-256 over the canonical encoding; names the exact set a claim was checked on."""
+        import hashlib  # here, so only a command that prints a digest loads OpenSSL
         h = hashlib.sha256()
         h.update(b"natset:1:")
         h.update(self._horizon.to_bytes(8, "little"))
@@ -301,6 +316,8 @@ def geometric_points(limit: int, count: int) -> list[int]:
         raise ValueError(f"sample limit must be at least 1, got {limit}")
     if count < 1:
         raise ValueError(f"sample count must be at least 1, got {count}")
+    if count > MAX_SAMPLES:  # the loop below runs count times for at most limit points
+        raise ValueError(f"sample count must be at most {MAX_SAMPLES}, got {show_number(count)}")
     if count == 1:
         return [limit]
     pts = {round(limit ** (j / (count - 1))) for j in range(count)}
@@ -332,7 +349,9 @@ def read_set_file(path, horizon: int | None = None) -> NatSet:
             try:
                 value = int(line)
             except ValueError:
-                raise ValueError(f"{path}:{line_no}: not an integer: {line!r}") from None
+                n = decimal_digits(line)
+                why = f"integer too long to read ({n} digits)" if n else f"not an integer: {line!r}"
+                raise ValueError(f"{path}:{line_no}: {why}") from None
             if value < 1:
                 raise ValueError(f"{path}:{line_no}: elements must be positive, got {value}")
             if value <= prev:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import IndexOutOfRange, RatioNotSatisfied
-from .natset import NatSet, check_horizon, from_flags, non_elements, read_set_file
+from .natset import NatSet, check_horizon, from_flags, non_elements, read_set_file, show_number
 
 __all__ = [
     "ALPHA_GRID",
@@ -60,13 +60,6 @@ def _coerce_fraction(value, what: str) -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError):
         raise ValueError(f"cannot interpret {value!r} as a {what}") from None
-
-
-def _show(x: Fraction) -> str:
-    """x exactly, or its power of ten once its numerator or denominator passes 1000 digits."""
-    if max(abs(x.numerator), x.denominator) < 10**1000:
-        return str(x)
-    return f"about {'-' * (x < 0)}10^{math.log10(abs(x.numerator)) - math.log10(x.denominator):.0f}"
 
 
 def parse_spec(text: str, horizon: int | None = None) -> SequenceSpec:
@@ -140,9 +133,9 @@ def _generate_geometric(c: Fraction, alpha: Fraction, horizon: int) -> list[int]
     taken from a numerator and a denominator, so no huge fraction overflows.
     """
     if c <= 0:
-        raise ValueError(f"geometric scale must be positive, got {_show(c)}")
+        raise ValueError(f"geometric scale must be positive, got {show_number(c)}")
     if alpha <= 1:
-        raise ValueError(f"geometric ratio must exceed 1, got {_show(alpha)}")
+        raise ValueError(f"geometric ratio must exceed 1, got {show_number(alpha)}")
     log_alpha = math.log(alpha.numerator) - math.log(alpha.denominator)
     log_c = math.log(c.numerator) - math.log(c.denominator)
     if _GEOMETRIC_ITERATION_CAP * log_alpha < math.log(horizon + 1) - max(log_c, 0):
@@ -249,14 +242,14 @@ def analyze_ratio(a: NatSet, alpha_hint=None) -> RatioAnalysis:
     if alpha_hint is not None:
         candidates = (_coerce_fraction(alpha_hint, "ratio bound"),)
         if candidates[0] <= 1:
-            raise ValueError(f"ratio bound must exceed 1, got {_show(candidates[0])}")
+            raise ValueError(f"ratio bound must exceed 1, got {show_number(candidates[0])}")
     for alpha in candidates:
         n0 = _min_tail_start(seq, alpha)
         if n0 is not None:
             break
     else:
         if alpha_hint is not None:
-            raise RatioNotSatisfied(f"no tail satisfies a_(n+1) >= {_show(alpha)} * a_n")
+            raise RatioNotSatisfied(f"no tail satisfies a_(n+1) >= {show_number(alpha)} * a_n")
         raise RatioNotSatisfied("no grid ratio holds on any tail; the sequence grows too slowly")
 
     # Stop raising the power once the sequence is too short for r: as alpha

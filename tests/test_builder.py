@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,12 +13,14 @@ from addcomp import (
     density_zero_diagnostic,
     from_interval,
     generate,
+    non_elements,
     parse_spec,
     sumset,
+    sumset_reference,
     verify_cover,
 )
 from addcomp.builder import _build_blocks
-from addcomp.natset import geometric_points
+from addcomp.natset import MAX_SAMPLES, geometric_points
 from addcomp.oracle import ratio_tail_holds
 from addcomp.sequences import _generate_geometric, analyze_ratio
 
@@ -27,8 +30,8 @@ def test_build_powers_small_horizon():
     assert build.analysis.gamma == 6
     assert build.analysis.threshold == 128
     assert [b.exponent for b in build.blocks] == [6, 7, 8, 9, 10]
-    assert (build.coverage.lo, build.coverage.hi) == (128, 1 << 11)
-    assert build.coverage.ok
+    assert build.missing.horizon == 1 << 11
+    assert not build.missing
     a = generate(parse_spec("powers:2", 1 << 12))
     assert build.complement.isdisjoint(a)
     assert build.certified
@@ -60,8 +63,8 @@ def test_build_explicit_with_hint():
     build = build_complement(spec, alpha_hint="10")
     assert build.analysis.gamma == 8
     assert build.analysis.threshold == 512
-    assert build.coverage.ok
-    assert (build.coverage.lo, build.coverage.hi) == (512, 1 << 19)
+    assert not build.missing
+    assert build.missing.horizon == 1 << 19
     assert not build.certified
     # the sparse early blocks collapse to the degenerate whole-interval form
     assert any(b.trace.degenerate for b in build.blocks)
@@ -126,16 +129,12 @@ def test_density_samples_start_at_threshold():
 def test_verify_cover_parity_counterexample():
     evens = NatSet(range(2, 101, 2), 100)
     odds = NatSet(range(1, 101, 2), 100)
-    cert = verify_cover(evens, odds, 2, 100)
-    assert not cert.ok
-    assert cert.missing.to_list() == list(range(4, 101, 2))
+    assert verify_cover(evens, odds, 2, 100) == NatSet(range(4, 101, 2), 100)
 
 
 def test_verify_cover_empty_complement():
     a = NatSet([1, 2, 3], 50)
-    cert = verify_cover(a, NatSet([], 50), 10, 50)
-    assert not cert.ok
-    assert cert.missing.to_list() == list(range(11, 51))
+    assert verify_cover(a, NatSet([], 50), 10, 50) == NatSet(range(11, 51), 50)
 
 
 def test_verify_cover_primes_complement_composites():
@@ -143,18 +142,21 @@ def test_verify_cover_primes_complement_composites():
     comp = generate(parse_spec("composites", h))
     primes = generate(parse_spec("primes", h))
     with_one = NatSet([1] + primes.to_list(), h)
-    cert = verify_cover(comp, with_one, 10, h)
-    assert cert.ok
-    assert not cert.missing
+    assert verify_cover(comp, with_one, 10, h) == NatSet([], h)
 
 
-def test_verify_cover_digests_bind_inputs():
-    a = NatSet([1, 2], 10)
-    b = NatSet([3], 10)
-    cert1 = verify_cover(a, b, 3, 5)
-    cert2 = verify_cover(a, NatSet([4], 10), 3, 5)
-    assert cert1.a_digest == cert2.a_digest
-    assert cert1.b_digest != cert2.b_digest
+@pytest.mark.parametrize("seed", range(20))
+def test_verify_cover_matches_reference(seed):
+    # the same NatSet as the double-loop sumset gives, horizon included
+    rng = random.Random(seed)
+    ha, hb = rng.randint(1, 120), rng.randint(1, 120)
+    a = NatSet(rng.sample(range(1, ha + 1), rng.randint(0, ha)), ha)
+    b = NatSet(rng.sample(range(1, hb + 1), rng.randint(0, hb)), hb)
+    hi = rng.randint(0, min(ha, hb))
+    lo = rng.randint(-3, hi)
+    want = non_elements(sumset_reference(a, b, max(hi, 1)), lo, hi)
+    assert verify_cover(a, b, lo, hi) == want
+    assert want.horizon == max(hi, 1)
 
 
 def test_verify_cover_needs_full_knowledge():
@@ -189,6 +191,13 @@ def test_geometric_points_shape():
     assert pts[0] >= 1
     assert pts[-1] == 10**6
     assert pts == sorted(set(pts))
+
+
+def test_geometric_points_caps_the_count():
+    # at the cap every point of [1, 1024] is hit; one more is refused before the loop
+    assert geometric_points(1024, MAX_SAMPLES) == list(range(1, 1025))
+    with pytest.raises(ValueError, match=f"^sample count must be at most {MAX_SAMPLES}, got "):
+        geometric_points(1024, MAX_SAMPLES + 1)
 
 
 def test_density_decay_across_blocks():

@@ -520,12 +520,30 @@ def test_density_names_the_sample_count(capsys, samples):
     # alpha = 2 alone needs 10 terms below 1000; the scale asks for about 332,000 more
     (["gap", "geometric:c=1e-99999,alpha=2", "--range", "1..100", "--horizon", "1000"],
      "geometric scale too small for exact generation"),
+    # int() reads 4000 digits, which the horizon rule refuses; 5000 are past its digit limit
+    (["density", "powers:2", "--horizon", "1" * 4000],
+     f"horizon must be below {8 * sys.maxsize}, got about 10^3999"),
+    (["gap", "powers:2", "--range", "1.." + "1" * 4000],
+     f"horizon must be below {8 * sys.maxsize}, got about 10^3999"),
+    (["gap", "powers:2", "--range", "1.." + "1" * 5000], "range end too long to read (5000 digits)"),
+    # checked before the sampling loop, which runs once per point asked for
+    (["density", "powers:2", "--horizon", "1024", "--samples", "1000001"],
+     "sample count must be at most 1000000, got 1000001"),
 ], ids=["alpha", "density-horizon", "range", "verify-empty-range", "gap-empty-range",
         "verify-nonpositive-range", "gap-nonpositive-range", "huge-alpha", "tiny-alpha",
-        "tiny-geometric-ratio", "huge-negative-scale", "tiny-scale"])
+        "tiny-geometric-ratio", "huge-negative-scale", "tiny-scale", "long-horizon",
+        "long-range-end", "unreadable-range-end", "sample-cap"])
 def test_bad_arguments_name_their_clause(capsys, argv, clause):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {clause}\n"
+
+
+def test_set_file_line_too_long_to_read(tmp_path, capsys):
+    # int() refuses 5000 digits for its digit limit: named by the count, not echoed
+    path = tmp_path / "long.set"
+    path.write_text("1" * 5000 + "\n")
+    assert main(["density", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:1: integer too long to read (5000 digits)\n"
 
 
 def test_gap_exit_codes(capsys):

@@ -419,6 +419,20 @@ def test_set_file_checks_order_above_horizon(tmp_path):
         read_set_file(path, horizon=100)
 
 
+@pytest.mark.parametrize("line, why", [
+    ("x2", "not an integer: 'x2'"),
+    ("+-5", "not an integer: '+-5'"),
+    ("\u00b2", "not an integer: '\u00b2'"),  # a digit, but not a decimal one
+    ("-" + "1" * 5000, "integer too long to read (5000 digits)"),
+    (" +" + "7" * 4500 + " ", "integer too long to read (4500 digits)"),
+], ids=["letter", "two-signs", "superscript", "negative-long", "padded-long"])
+def test_set_file_names_why_a_line_is_not_read(tmp_path, line, why):
+    path = tmp_path / "bad.set"
+    path.write_text(f"1\n{line}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: {re.escape(why)}$"):
+        read_set_file(path)
+
+
 @pytest.mark.parametrize("data, line", [
     (b"\xff\n", 1),
     (b"3\n# caf\xc3\xa9\n5\n# caf\xe9\n7\n", 4),  # UTF-8 on line 2, Latin-1 on line 4
