@@ -7,15 +7,23 @@ drawn from (2^i, 2^{i+2}] minus A.  The union B of the thinned blocks is
 disjoint from A by construction, covers everything from the threshold
 2^{gamma+1} up to the last fully built block, and its sampled density
 decays; all three are re-verified exactly (cover.verify_cover), never assumed.
+
+Each block depends only on A, and the top block costs about as much as all
+the others together.  So one helper, made with os.fork (build needs a POSIX
+system), thins the top block and pickles it back through a pipe while this
+process thins the rest.  Only this process checks the union and reports.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from itertools import chain
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .cover import verify_cover
-from .errors import BlockPreconditionFailed, CoverFailed, PreconditionViolated
+from .errors import AddcompError, BlockPreconditionFailed, CoverFailed, PreconditionViolated
 from .greedy import GreedyTrace, thin_block
 from .natset import DensitySample, NatSet, count_in, density_profile
 from .sequences import RatioAnalysis, SequenceSpec, analyze_ratio, generate
@@ -55,32 +63,85 @@ class ComplementBuild(NamedTuple):
     density: tuple[DensitySample, ...]
 
 
+def _thin(a: NatSet, analysis: RatioAnalysis, i: int) -> BlockBuild:
+    """Thin the block q = 2^i; thin_block raises PreconditionViolated if it may not."""
+    q = 1 << i
+    _, trace = thin_block(a, q)
+    return BlockBuild(exponent=i, trace=trace,
+                      translate_bound_ok=count_in(a, q, 4 * q, "(]") <= analysis.r)
+
+
+def _send_top(pipe: int, a: NatSet, analysis: RatioAnalysis, i: int) -> NoReturn:
+    """In the forked helper: pickle block i's BlockBuild, or what it raised, to pipe; then exit."""
+    code = 1
+    try:
+        try:
+            outcome = _thin(a, analysis, i)
+        except Exception as exc:
+            outcome = exc
+        with os.fdopen(pipe, "wb") as out:
+            pickle.dump(outcome, out, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)  # never back into the parent's stack, its buffers or its exit handlers
+
+
+def _received(data: bytes, status: int, i: int) -> BlockBuild:
+    """The helper's block i from its pipe data and wait status; raise what it raised."""
+    code = os.waitstatus_to_exitcode(status)
+    if code:
+        names = {s.value: s.name for s in signal.Signals}
+        how = (f"was killed by {names.get(-code, f'signal {-code}')}" if code < 0
+               else f"exited with status {code}")
+        raise AddcompError(f"block exponent {i}: the thinning helper {how} before sending the block")
+    outcome = pickle.loads(data)
+    if isinstance(outcome, BaseException):
+        raise outcome
+    return outcome
+
+
+def _failed(i: int, exc: PreconditionViolated) -> BlockPreconditionFailed:
+    """Block i's failure, naming the clause thin_block raised."""
+    return BlockPreconditionFailed(
+        i,
+        f"block exponent {i}: {exc}; the horizon is too small or the "
+        "ratio analysis was only an estimate",
+    )
+
+
 def _build_blocks(a: NatSet, analysis: RatioAnalysis, horizon: int) -> list[BlockBuild]:
     """Thin every dyadic block with 2^{i+2} inside the horizon, from gamma up.
 
-    A block whose precondition fails (checked by thin_block) is reported as
-    BlockPreconditionFailed at its exponent, keeping the failed clause.
+    The top block costs about as much as all the others together, so one
+    forked helper thins it while this process thins the rest in order.  A
+    block whose precondition fails (checked by thin_block) is reported as
+    BlockPreconditionFailed at its exponent, keeping the failed clause; a
+    lower block's failure is raised first.  The helper is always reaped.
     """
+    top = horizon.bit_length() - 3  # the largest i with 2^{i+2} <= horizon
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read_end)
+        _send_top(write_end, a, analysis, top)
+    os.close(write_end)
     blocks: list[BlockBuild] = []
-    i = analysis.gamma
-    while (1 << (i + 2)) <= horizon:
-        q = 1 << i
+    data = None
+    with os.fdopen(read_end, "rb") as pipe:
         try:
-            _, trace = thin_block(a, q)
+            for i in range(analysis.gamma, top):
+                blocks.append(_thin(a, analysis, i))
+            data = pipe.read()
         except PreconditionViolated as exc:
-            raise BlockPreconditionFailed(
-                i,
-                f"block exponent {i}: {exc}; the horizon is too small or the "
-                "ratio analysis was only an estimate",
-            ) from exc
-        blocks.append(
-            BlockBuild(
-                exponent=i,
-                trace=trace,
-                translate_bound_ok=count_in(a, q, 4 * q, "(]") <= analysis.r,
-            )
-        )
-        i += 1
+            raise _failed(i, exc) from exc
+        finally:
+            if data is None:  # this process failed first: the helper's block is not needed
+                os.kill(pid, signal.SIGKILL)
+            _, status = os.waitpid(pid, 0)
+    try:
+        blocks.append(_received(data, status, top))
+    except PreconditionViolated as exc:
+        raise _failed(top, exc) from exc
     return blocks
 
 

@@ -26,6 +26,7 @@ from .natset import (
     geometric_points,
     non_elements,
     read_set_file,
+    show_number,
     write_set_file,
 )
 from .sequences import FAMILIES, generate, parse_spec
@@ -48,9 +49,9 @@ def _parse_range(text: str) -> tuple[int, int]:
             raise ValueError(f"range end too long to read ({max(digits)} digits)") from None
         raise ValueError(f"range must look like LO..HI, got {text!r}") from None
     if hi < lo:
-        raise ValueError(f"range upper end {hi} below lower end {lo}")
+        raise ValueError(f"range upper end {show_number(hi)} below lower end {show_number(lo)}")
     if hi <= max(lo, 0):  # (LO, HI] holds no natural number
-        raise ValueError(f"range ({lo}, {hi}] is empty")
+        raise ValueError(f"range ({show_number(lo)}, {show_number(hi)}] is empty")
     return lo, hi
 
 

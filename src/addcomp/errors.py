@@ -45,6 +45,9 @@ class BlockPreconditionFailed(AddcompError):
         self.exponent = exponent
         super().__init__(detail or f"block precondition failed at exponent {exponent}")
 
+    def __reduce__(self):  # the default, cls(*self.args), would take the message as the exponent
+        return type(self), (self.exponent, str(self))
+
 
 class TooLarge(AddcompError):
     """The instance exceeds the exhaustive-search size cap."""

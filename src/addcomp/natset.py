@@ -249,7 +249,7 @@ def non_elements(a: NatSet, lo: int, hi: int) -> NatSet:
     Membership above A's horizon is unknown, so hi may not exceed it.
     """
     if hi > a._horizon:
-        raise ValueError(f"hi={hi} beyond horizon {a._horizon}")
+        raise ValueError(f"hi={show_number(hi)} beyond horizon {a._horizon}")
     return NatSet._from_mask(_range_mask(max(lo + 1, 1), hi) & ~a._mask, max(hi, 1))
 
 

@@ -16,7 +16,15 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import IndexOutOfRange, RatioNotSatisfied
-from .natset import NatSet, check_horizon, from_flags, non_elements, read_set_file, show_number
+from .natset import (
+    NatSet,
+    check_horizon,
+    decimal_digits,
+    from_flags,
+    non_elements,
+    read_set_file,
+    show_number,
+)
 
 __all__ = [
     "ALPHA_GRID",
@@ -59,7 +67,9 @@ def _coerce_fraction(value, what: str) -> Fraction:
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError):
-        raise ValueError(f"cannot interpret {value!r} as a {what}") from None
+        n = decimal_digits(value) if isinstance(value, str) else 0  # so int() refused its length
+        raise ValueError(f"{what} too long to read ({n} digits)" if n
+                         else f"cannot interpret {value!r} as a {what}") from None
 
 
 def parse_spec(text: str, horizon: int | None = None) -> SequenceSpec:
@@ -89,7 +99,9 @@ def parse_spec(text: str, horizon: int | None = None) -> SequenceSpec:
         try:
             k = int(rest)
         except ValueError:
-            raise ValueError(f"powers spec needs an integer base, got {rest!r}") from None
+            n = decimal_digits(rest)  # so int() refused its length
+            raise ValueError(f"powers base too long to read ({n} digits)" if n
+                             else f"powers spec needs an integer base, got {rest!r}") from None
         return SequenceSpec("powers", horizon, text, k=k)
     if head == "geometric":
         params = {}

@@ -1,10 +1,22 @@
-"""Shared randomized-instance generators (all seeded by the caller)."""
+"""Shared randomized-instance generators (all seeded by the caller), and a check
+that no test leaves a child process behind."""
 
 from __future__ import annotations
 
+import os
 import random
 
+import pytest
+
 from addcomp import GreedyInstance, NatSet, from_interval, sumset
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """After every test, this process has no child left, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def random_natset(rng: random.Random, horizon: int, density: float) -> NatSet:

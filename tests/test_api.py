@@ -9,11 +9,13 @@ import pytest
 
 from addcomp import (
     BlockBuild,
+    BlockPreconditionFailed,
     BlockCoverResult,
     ComplementBuild,
     GreedyInstance,
     GreedyTrace,
     NatSet,
+    PreconditionViolated,
     RatioAnalysis,
     SequenceSpec,
     analyze_ratio,
@@ -181,6 +183,22 @@ def test_records_are_immutable_and_pickle(records, name):
     copy = pickle.loads(pickle.dumps(record))
     assert type(copy) is type(record)
     assert copy == record
+
+
+@pytest.mark.parametrize("exc", [
+    PreconditionViolated("q >= 1", "got q=0"),
+    PreconditionViolated("B n A = empty"),
+    BlockPreconditionFailed(9, "block exponent 9: depth > 0: got 0"),
+    BlockPreconditionFailed(4),
+], ids=["clause-detail", "clause", "block-detail", "block"])
+def test_precondition_errors_pickle(exc):
+    # a block thinned in another process comes back pickled, its clause, exponent and message
+    # intact (a PreconditionViolated is rebuilt from its message, then its clause restored)
+    copy = pickle.loads(pickle.dumps(exc))
+    assert type(copy) is type(exc)
+    assert str(copy) == str(exc)
+    assert copy.args == exc.args
+    assert vars(copy) == vars(exc)
 
 
 def test_readme_library_block_runs_as_written():

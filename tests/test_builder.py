@@ -1,9 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from addcomp import (
+    AddcompError,
     BlockPreconditionFailed,
     NatSet,
     PreconditionViolated,
@@ -19,7 +21,9 @@ from addcomp import (
     sumset_reference,
     verify_cover,
 )
+import addcomp.builder as builder_module
 from addcomp.builder import _build_blocks
+from addcomp.greedy import thin_block
 from addcomp.natset import MAX_SAMPLES, geometric_points
 from addcomp.oracle import ratio_tail_holds
 from addcomp.sequences import _generate_geometric, analyze_ratio
@@ -117,6 +121,78 @@ def test_block_precondition_failure_keeps_its_cause():
     cause = err.value.__cause__
     assert isinstance(cause, PreconditionViolated)
     assert cause.clause in str(err.value)
+
+
+@pytest.mark.parametrize("spec, horizon, hint", [
+    ("powers:2", 1 << 12, None),
+    ("powers:3", 1 << 13, None),
+    ("fib", 1 << 12, None),
+    ("geometric:c=1,alpha=3/2", 1 << 13, "5/4"),
+    ("powers:2", 1 << 8, None),  # one block, thinned by the helper alone
+], ids=["powers2", "powers3", "fib", "geometric", "one-block"])
+def test_forked_top_block_equals_in_process_thinning(spec, horizon, hint):
+    a = generate(parse_spec(spec, horizon))
+    analysis = analyze_ratio(a, hint)
+    blocks = _build_blocks(a, analysis, horizon)
+    exponents = range(analysis.gamma, horizon.bit_length() - 2)
+    assert [(blk.exponent, blk.trace) for blk in blocks] == \
+        [(i, thin_block(a, 1 << i)[1]) for i in exponents]
+    assert all(blk.translate_bound_ok for blk in blocks)
+
+
+def _fail_blocks(monkeypatch, failures):
+    """Patch builder.thin_block to call failures[q]() for each block q listed; forks inherit it."""
+    real = builder_module.thin_block
+    monkeypatch.setattr(builder_module, "thin_block",
+                        lambda a, q: failures[q]() if q in failures else real(a, q))
+
+
+def _raise_clause():
+    raise PreconditionViolated("forged clause", "raised by the patched block")
+
+
+def test_top_block_failure_is_raised_at_its_exponent(monkeypatch):
+    # the helper's PreconditionViolated crosses the pipe and is wrapped like a lower block's
+    a = generate(parse_spec("powers:2", 1 << 12))
+    _fail_blocks(monkeypatch, {1 << 10: _raise_clause})
+    with pytest.raises(BlockPreconditionFailed) as err:
+        _build_blocks(a, analyze_ratio(a), 1 << 12)
+    assert err.value.exponent == 10
+    assert str(err.value).startswith("block exponent 10: forged clause: raised by the patched block")
+    assert err.value.__cause__.clause == "forged clause"
+
+
+def test_lower_block_failure_is_raised_before_the_top_one(monkeypatch):
+    # the top block fails first, in the helper, yet the last lower block's failure wins
+    a = generate(parse_spec("powers:2", 1 << 12))
+    _fail_blocks(monkeypatch, {1 << 9: _raise_clause, 1 << 10: _raise_clause})
+    with pytest.raises(BlockPreconditionFailed) as err:
+        _build_blocks(a, analyze_ratio(a), 1 << 12)
+    assert err.value.exponent == 9
+
+
+def test_lower_block_failure_reaps_the_running_helper(monkeypatch):
+    # the helper would sleep for a minute on the top block; the first block's failure kills it
+    a = generate(parse_spec("powers:2", 1 << 12))
+    _fail_blocks(monkeypatch, {1 << 6: _raise_clause, 1 << 10: lambda: time.sleep(60)})
+    start = time.monotonic()
+    with pytest.raises(BlockPreconditionFailed) as err:
+        _build_blocks(a, analyze_ratio(a), 1 << 12)
+    assert err.value.exponent == 6
+    assert time.monotonic() - start < 30
+
+
+def test_helper_that_cannot_send_its_outcome_names_its_exit_status(monkeypatch):
+    # an exception holding a lambda cannot be pickled, so the helper exits 1 with nothing sent
+    a = generate(parse_spec("powers:2", 1 << 8))
+
+    def unpicklable(a, q):
+        raise ValueError(lambda: q)
+
+    monkeypatch.setattr(builder_module, "thin_block", unpicklable)
+    with pytest.raises(AddcompError, match=r"^block exponent 6: the thinning helper exited "
+                                           r"with status 1 before sending the block$"):
+        _build_blocks(a, analyze_ratio(a), 1 << 8)
 
 
 def test_density_samples_start_at_threshold():

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -86,6 +88,15 @@ def test_build_failing_coverage_lists_the_missing_points(tmp_path, capsys, monke
     )
     coverage = json.loads(report_path.read_text())["coverage"]
     assert coverage == {"lo": 128, "hi": 2048, "ok": False, "missing_count": 1920}
+
+
+def test_build_helper_killed_exits_2_naming_block_and_signal(monkeypatch, capsys):
+    # one block, so only the forked helper calls thin_block, and it dies without a result
+    monkeypatch.setattr(builder_module, "thin_block",
+                        lambda a, q: os.kill(os.getpid(), signal.SIGKILL))
+    assert main(["build", "powers:2", "--horizon", "256"]) == 2
+    assert capsys.readouterr() == ("", "error: block exponent 6: the thinning helper was killed "
+                                       "by SIGKILL before sending the block\n")
 
 
 def test_build_empty_file_exits_2(tmp_path):
@@ -526,13 +537,31 @@ def test_density_names_the_sample_count(capsys, samples):
     (["gap", "powers:2", "--range", "1.." + "1" * 4000],
      f"horizon must be below {8 * sys.maxsize}, got about 10^3999"),
     (["gap", "powers:2", "--range", "1.." + "1" * 5000], "range end too long to read (5000 digits)"),
+    # spec parameters and --alpha past that limit are named by their digit count too
+    (["gap", "powers:" + "1" * 5000, "--range", "1..10", "--horizon", "10"],
+     "powers base too long to read (5000 digits)"),
+    (["gap", f"geometric:c={'1' * 5000},alpha=2", "--range", "1..10", "--horizon", "10"],
+     "scale too long to read (5000 digits)"),
+    (["gap", f"geometric:c=1,alpha=-{'1' * 5000}", "--range", "1..10", "--horizon", "10"],
+     "ratio too long to read (5000 digits)"),
+    (["build", "powers:2", "--horizon", "1024", "--alpha", "1" * 5000],
+     "ratio bound too long to read (5000 digits)"),
+    # and a range end int() reads but past 1000 digits by its power of ten
+    (["gap", "powers:2", "--range", "1" * 3000 + "..5"],
+     "range upper end 5 below lower end about 10^2999"),
+    (["gap", "powers:2", "--range", "1.." + "1" * 3000, "--horizon", "1"],
+     "hi=about 10^2999 beyond horizon 1"),
+    (["gap", "powers:2", "--range", f"{'1' * 3000}..{'1' * 3000}"],
+     "range (about 10^2999, about 10^2999] is empty"),
     # checked before the sampling loop, which runs once per point asked for
     (["density", "powers:2", "--horizon", "1024", "--samples", "1000001"],
      "sample count must be at most 1000000, got 1000001"),
 ], ids=["alpha", "density-horizon", "range", "verify-empty-range", "gap-empty-range",
         "verify-nonpositive-range", "gap-nonpositive-range", "huge-alpha", "tiny-alpha",
         "tiny-geometric-ratio", "huge-negative-scale", "tiny-scale", "long-horizon",
-        "long-range-end", "unreadable-range-end", "sample-cap"])
+        "long-range-end", "unreadable-range-end", "unreadable-powers-base", "unreadable-scale",
+        "unreadable-ratio", "unreadable-alpha", "long-lower-range-end", "long-hi-past-horizon",
+        "long-empty-range", "sample-cap"])
 def test_bad_arguments_name_their_clause(capsys, argv, clause):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {clause}\n"

@@ -124,6 +124,9 @@ def test_non_elements_examples():
 def test_non_elements_rejects_hi_beyond_horizon():
     with pytest.raises(ValueError, match="hi=11 beyond horizon 10"):
         non_elements(NatSet([2], 10), 0, 11)
+    # past 1000 digits hi is named by its power of ten, not echoed
+    with pytest.raises(ValueError, match=r"^hi=about 10\^3000 beyond horizon 10$"):
+        non_elements(NatSet([2], 10), 0, 10**3000)
 
 
 def test_non_elements_matches_list_reference():
