@@ -8,8 +8,9 @@ exact on [1, horizon]; results that would land outside are clipped, and the
 clipping is part of each operation's contract.  The dense form makes the
 hot paths (sumset, interval counting) single big-integer shifts and masks;
 sumset also stops shifting once the clipped result can no longer grow.
-point_flags and from_flags convert between a set and one byte per point,
-both at C speed, so a sieve's flags become a set with no Python loop.
+point_flags gives one byte per point at C speed, for loops that index
+points; from_bits reads a set from its binary numeral in place, so a sieve
+that writes the digits becomes a set with no copy and no Python loop.
 density_profile counts a set at the sample points geometric_points picks.
 
 NatSet values are immutable after construction, so any number of threads
@@ -30,7 +31,7 @@ __all__ = [
     "sumset",
     "non_elements",
     "point_flags",
-    "from_flags",
+    "from_bits",
     "count_in",
     "density_profile",
     "read_set_file",
@@ -44,9 +45,8 @@ MAX_SAMPLES = 10**6  #: the largest sample count geometric_points accepts
 # For each byte value, the offsets of its set bits; used to enumerate members.
 _BYTE_OFFSETS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 
-# Maps the digits of a binary string to the bytes 0 and 1, and back.
+# Maps the digits of a binary string to the bytes 0 and 1.
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-_BYTE_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _clipped_bounds(lo: int, hi: int, kind: str, horizon: int) -> tuple[int, int]:
@@ -266,20 +266,28 @@ def point_flags(a: NatSet, lo: int, hi: int) -> bytes:
     return format(bits, f"0{count}b")[::-1].encode("ascii").translate(_BIT_BYTES)
 
 
-def from_flags(flags: bytes, horizon: int) -> NatSet:
-    """The points i with flags[i] == 1; the inverse of point_flags(a, 0, horizon).
+def from_bits(bits: bytes, horizon: int) -> NatSet:
+    """The set whose mask is the binary numeral bits, most significant point first.
 
-    flags may be shorter than horizon + 1; the points above it are left out.
-    Every check and the mask itself run at C speed.
+    bits holds the ASCII digits 0 and 1, and its last digit is point 0, so
+    point i is in the set exactly when bits[len(bits) - 1 - i] is ord("1").
+    bits may be shorter than horizon + 1; the points above it are left out.
+    A valid numeral is checked with no copy, and int() reads it as it is.
     """
-    if len(flags) > horizon + 1:
-        raise ValueError(f"element {len(flags) - 1} exceeds horizon {horizon}")
-    bad = flags.translate(None, b"\x00\x01")
-    if bad:
-        raise ValueError(f"flags must be bytes 0 or 1, got {bad[0]}")
-    if flags[:1] == b"\x01":
+    if len(bits) > horizon + 1:
+        raise ValueError(f"element {len(bits) - 1} exceeds horizon {horizon}")
+    try:
+        # isdigit() passes ASCII 0-9 alone, so int() meets no sign, space, "_" or
+        # "0b" prefix, and it refuses a digit above 1
+        if bits and not bits.isdigit():
+            raise ValueError
+        mask = int(bits or b"0", 2)
+    except ValueError:
+        bad = bits.strip(b"01")
+        raise ValueError(f"bits must be the digits 0 or 1, got {bytes(bad[:1])!r}") from None
+    if mask & 1:
         raise ValueError("elements must be positive naturals, got 0")
-    return NatSet._from_mask(int(flags.translate(_BYTE_BITS)[::-1] or b"0", 2), horizon)
+    return NatSet._from_mask(mask, horizon)
 
 
 def count_in(a: NatSet, lo: int, hi: int, kind: str = "(]") -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -20,7 +21,7 @@ from .natset import (
     NatSet,
     check_horizon,
     decimal_digits,
-    from_flags,
+    from_bits,
     non_elements,
     read_set_file,
     show_number,
@@ -67,9 +68,11 @@ def _coerce_fraction(value, what: str) -> Fraction:
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError):
-        n = decimal_digits(value) if isinstance(value, str) else 0  # so int() refused its length
-        raise ValueError(f"{what} too long to read ({n} digits)" if n
-                         else f"cannot interpret {value!r} as a {what}") from None
+        # Fraction reads the digits with int(), which refuses more than its limit
+        n = sum(map(str.isdigit, value)) if isinstance(value, str) else 0
+        if 0 < sys.get_int_max_str_digits() < n:
+            raise ValueError(f"{what} too long to read ({n} digits)") from None
+        raise ValueError(f"cannot interpret {value!r} as a {what}") from None
 
 
 def parse_spec(text: str, horizon: int | None = None) -> SequenceSpec:
@@ -126,15 +129,23 @@ def parse_spec(text: str, horizon: int | None = None) -> SequenceSpec:
     return SequenceSpec(head, horizon, text)
 
 
-def _prime_flags(limit: int) -> bytearray:
-    """flags[i] == 1 iff i is prime, for 0 <= i <= limit."""
-    flags = bytearray(limit + 1)
+def _prime_bits(limit: int) -> bytearray:
+    """The binary numeral of the primes up to limit: bits[limit - i] is ord("1") iff i is prime.
+
+    It starts from the odd numbers and strikes the odd multiples of each odd
+    prime p, from p * p down the buffer, so no temporary passes limit / 6 bytes.
+    """
+    bits = bytearray(b"10" if limit & 1 else b"01") * (limit // 2 + 1)  # the odd numbers
+    del bits[limit + 1:]
+    bits[limit - 1] = ord("0")  # 1 is not prime, 2 is
     if limit >= 2:
-        flags[2:] = bytearray(b"\x01") * (limit - 1)  # a bytes value is copied first
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    return flags
+        bits[limit - 2] = ord("1")
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if bits[limit - p] == ord("1"):
+            top = limit - p * p  # the digit of p * p
+            # a bytearray is assigned as it is; a bytes value would be copied first
+            bits[top :: -2 * p] = bytearray(b"0") * (top // (2 * p) + 1)
+    return bits
 
 
 def _generate_geometric(c: Fraction, alpha: Fraction, horizon: int) -> list[int]:
@@ -168,8 +179,9 @@ def _generate_geometric(c: Fraction, alpha: Fraction, horizon: int) -> list[int]
 def generate(spec: SequenceSpec) -> NatSet:
     """Realize the family as a NatSet on [1, spec.horizon].
 
-    primes and composites (the non-primes in (3, horizon]) come straight
-    from the sieve's flags, with no Python step per element.
+    primes and composites (the non-primes in (3, horizon]) come from a sieve
+    that writes the primes' binary numeral, which from_bits reads in place:
+    one byte per integer at the peak, and no Python step per element.
     """
     h = spec.horizon
     check_horizon(h)  # before any family, the sieve included, allocates
@@ -195,7 +207,7 @@ def generate(spec: SequenceSpec) -> NatSet:
             x, y = y, x + y
         return NatSet(vals, h)
     if family in ("primes", "composites"):
-        primes = from_flags(_prime_flags(h), h)
+        primes = from_bits(_prime_bits(h), h)
         return primes if family == "primes" else non_elements(primes, 3, h)
     if family == "squares":
         return NatSet((i * i for i in range(1, math.isqrt(h) + 1)), h)

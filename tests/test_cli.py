@@ -546,6 +546,15 @@ def test_density_names_the_sample_count(capsys, samples):
      "ratio too long to read (5000 digits)"),
     (["build", "powers:2", "--horizon", "1024", "--alpha", "1" * 5000],
      "ratio bound too long to read (5000 digits)"),
+    # and so are a fraction or a decimal whose digits int() refuses
+    (["build", "powers:2", "--horizon", "1024", "--alpha", "1/" + "1" * 5000],
+     "ratio bound too long to read (5001 digits)"),
+    (["build", "powers:2", "--horizon", "1024", "--alpha", "1." + "1" * 5000],
+     "ratio bound too long to read (5001 digits)"),
+    (["gap", f"geometric:c=1/{'1' * 5000},alpha=2", "--range", "1..10", "--horizon", "10"],
+     "scale too long to read (5001 digits)"),
+    (["build", "powers:2", "--horizon", "1024", "--alpha", "1/0"],
+     "cannot interpret '1/0' as a ratio bound"),
     # and a range end int() reads but past 1000 digits by its power of ten
     (["gap", "powers:2", "--range", "1" * 3000 + "..5"],
      "range upper end 5 below lower end about 10^2999"),
@@ -560,7 +569,9 @@ def test_density_names_the_sample_count(capsys, samples):
         "verify-nonpositive-range", "gap-nonpositive-range", "huge-alpha", "tiny-alpha",
         "tiny-geometric-ratio", "huge-negative-scale", "tiny-scale", "long-horizon",
         "long-range-end", "unreadable-range-end", "unreadable-powers-base", "unreadable-scale",
-        "unreadable-ratio", "unreadable-alpha", "long-lower-range-end", "long-hi-past-horizon",
+        "unreadable-ratio", "unreadable-alpha", "unreadable-fraction-alpha",
+        "unreadable-decimal-alpha", "unreadable-fraction-scale", "zero-denominator-alpha",
+        "long-lower-range-end", "long-hi-past-horizon",
         "long-empty-range", "sample-cap"])
 def test_bad_arguments_name_their_clause(capsys, argv, clause):
     assert main(argv) == 2
@@ -573,6 +584,16 @@ def test_set_file_line_too_long_to_read(tmp_path, capsys):
     path.write_text("1" * 5000 + "\n")
     assert main(["density", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {path}:1: integer too long to read (5000 digits)\n"
+
+
+def test_gap_primes_output_is_pinned(capsys):
+    # the sieve's set, seen through gap: only 2 and 5 are no prime plus non-prime
+    assert main(["gap", "primes", "--range", "1..100000", "--horizon", "100000"]) == 1
+    assert capsys.readouterr().out == (
+        "missing 2 point(s): 2 5\n"
+        "within (1, 100000] this is exact (sums from beyond 100000 cannot land here); "
+        "it says nothing about larger targets\n"
+    )
 
 
 def test_gap_exit_codes(capsys):

@@ -10,7 +10,7 @@ from addcomp import (
     NatSet,
     count_in,
     density_profile,
-    from_flags,
+    from_bits,
     from_interval,
     generate,
     non_elements,
@@ -150,28 +150,53 @@ def test_point_flags_match_element_by_element():
     assert point_flags(NatSet([], 10), 1, 10) == bytes(10)
 
 
+def _numeral(a, h):
+    """A's binary numeral on [0, h], built from point_flags: most significant point first."""
+    return point_flags(a, 0, h)[::-1].translate(bytes.maketrans(b"\x00\x01", b"01"))
+
+
 @pytest.mark.parametrize("h", [1, 7, 8, 9, 4096])
-def test_from_flags_inverts_point_flags(h):
+def test_from_bits_inverts_the_numeral_of_point_flags(h):
     rng = random.Random(h)
     for density in (0.0, 0.3, 0.7, 1.0):
         a = random_natset(rng, h, density)
-        assert from_flags(point_flags(a, 0, h), h) == a, density
+        bits = _numeral(a, h)
+        assert from_bits(bits, h) == a, density
+        assert from_bits(bytearray(bits), h) == a, density
 
 
-def test_from_flags_leaves_out_points_above_shorter_flags():
-    assert from_flags(b"\x00\x01\x00\x01", 10) == NatSet([1, 3], 10)
-    assert from_flags(b"", 10) == NatSet([], 10)
-    assert from_flags(bytearray(b"\x00\x01"), 1) == NatSet([1], 1)
+def test_from_bits_leaves_out_points_above_shorter_bits():
+    assert from_bits(b"1010", 10) == NatSet([1, 3], 10)
+    assert from_bits(b"", 10) == NatSet([], 10)
+    assert from_bits(bytearray(b"10"), 1) == NatSet([1], 1)
 
 
-@pytest.mark.parametrize("flags, clause", [
-    (b"\x01\x01", "elements must be positive naturals, got 0"),
-    (b"\x00\x01\x02", "flags must be bytes 0 or 1, got 2"),
-    (bytes(7), "element 6 exceeds horizon 5"),  # len(flags) == h + 2
-])
-def test_from_flags_rejects_bad_flags(flags, clause):
-    with pytest.raises(ValueError, match=f"^{clause}$"):
-        from_flags(flags, 5)
+@pytest.mark.parametrize("bits, clause", [
+    (b"11", "elements must be positive naturals, got 0"),
+    (b"210", "bits must be the digits 0 or 1, got b'2'"),
+    (b"1 0", "bits must be the digits 0 or 1, got b' '"),
+    # int() alone would read a prefix or an underscore
+    (b"0b10", "bits must be the digits 0 or 1, got b'b'"),
+    (b"1_0", "bits must be the digits 0 or 1, got b'_'"),
+    (b"0" * 7, "element 6 exceeds horizon 5"),  # len(bits) == h + 2
+], ids=["point-0", "digit-2", "space", "prefix", "underscore", "too-long"])
+def test_from_bits_rejects_bad_bits(bits, clause):
+    with pytest.raises(ValueError, match=f"^{re.escape(clause)}$"):
+        from_bits(bits, 5)
+    with pytest.raises(ValueError, match=f"^{re.escape(clause)}$"):
+        from_bits(bytearray(bits), 5)
+
+
+def test_from_bits_checks_allocate_nothing_the_size_of_bits():
+    bits = _numeral(NatSet(range(1, 10**6, 3), 10**6), 10**6)
+    tracemalloc.start()
+    try:
+        a = from_bits(bits, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(a) == len(range(1, 10**6, 3))
+    assert peak < 10**6 // 8 + 2**16, peak  # the mask, and no copy of the digits
 
 
 @pytest.mark.parametrize("width", [1, 2, 4, 8])

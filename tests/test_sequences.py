@@ -72,6 +72,21 @@ def test_sieve_families_build_no_set_element_by_element(monkeypatch, family):
     assert generate(parse_spec(family, 10**5)).horizon == 10**5
 
 
+@pytest.mark.parametrize("family", ["primes", "composites"])
+def test_sieve_families_peak_below_one_and_a_half_bytes_per_point(family):
+    # the sieve writes the numeral that from_bits reads in place: one byte per
+    # point, plus a sixth for the strike of 3 or an eighth for the mask
+    h = 10**6
+    tracemalloc.start()
+    try:
+        a = generate(parse_spec(family, h))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.horizon == h
+    assert peak < 1.5 * h, peak
+
+
 def test_explicit_rejects_disorder(tmp_path):
     path = tmp_path / "a.set"
     path.write_text("3\n1\n2\n")
