@@ -27,6 +27,8 @@ from .natset import (
     non_elements,
     read_set_file,
     show_number,
+    show_text,
+    unreadable,
     write_set_file,
 )
 from .sequences import FAMILIES, generate, parse_spec
@@ -47,12 +49,21 @@ def _parse_range(text: str) -> tuple[int, int]:
         digits = [decimal_digits(part) for part in (lo_text, hi_text)]
         if all(digits):  # so int() refused one for its length
             raise ValueError(f"range end too long to read ({max(digits)} digits)") from None
-        raise ValueError(f"range must look like LO..HI, got {text!r}") from None
+        raise ValueError(f"range must look like LO..HI, got {show_text(text)}") from None
     if hi < lo:
         raise ValueError(f"range upper end {show_number(hi)} below lower end {show_number(lo)}")
     if hi <= max(lo, 0):  # (LO, HI] holds no natural number
         raise ValueError(f"range ({show_number(lo)}, {show_number(hi)}] is empty")
     return lo, hi
+
+
+def _int(text: str) -> int:
+    """argparse's int type, naming a value int() refuses by its digit count or a cut echo."""
+    try:
+        return int(text)
+    except ValueError:
+        why = unreadable(text, "integer", "invalid int value:")
+        raise argparse.ArgumentTypeError(why) from None
 
 
 def _base_set(args, default=None) -> NatSet:
@@ -197,7 +208,7 @@ def _cmd_thin(args) -> int:
     if args.q is not None:
         _reject_flags(args, ("m", "n", "x1", "x2", "b_file"), "--q")
         if args.q < 1:  # checked before 4q becomes A's horizon
-            raise PreconditionViolated("q >= 1", f"got q={args.q}")
+            raise PreconditionViolated("q >= 1", f"got q={show_number(args.q)}")
         a = _base_set(args, 4 * args.q)
         selected, trace = thin_block(a, args.q)
         context = {"source": args.a, "q": args.q, "m": 2 * args.q, "n": 2 * args.q,
@@ -209,7 +220,8 @@ def _cmd_thin(args) -> int:
             raise ValueError(f"explicit mode needs --{', --'.join(needed)} (or use --q)")
         a = _base_set(args, args.x2)
         if a.horizon < args.x2:  # membership in A is unknown on part of (x1, x2]
-            raise PreconditionViolated("horizon >= x2", f"horizon {a.horizon} < {args.x2}")
+            raise PreconditionViolated("horizon >= x2",
+                                       f"horizon {a.horizon} < {show_number(args.x2)}")
         b = read_set_file(args.b_file)
         if count_in(b, args.x1, args.x2) == len(b):  # else validate names it
             _require_disjoint(a, b)
@@ -274,7 +286,7 @@ def _cmd_oracle(args) -> int:
     elif args.x1 is None or args.x2 is None:
         raise ValueError("provide --b-file or both --x1 and --x2")
     elif args.x2 < args.x1:  # checked before x2 becomes A's horizon
-        raise ValueError(f"--x2 {args.x2} below --x1 {args.x1}")
+        raise ValueError(f"--x2 {show_number(args.x2)} below --x1 {show_number(args.x1)}")
     a = _base_set(args, args.x2)
     if args.b_file is not None:
         b = read_set_file(args.b_file)
@@ -304,7 +316,7 @@ def _cmd_oracle(args) -> int:
 
 def _add_common_set_args(parser):
     parser.add_argument("a", help="sequence spec or set file")
-    parser.add_argument("--horizon", type=int, default=None, help="truncation point")
+    parser.add_argument("--horizon", type=_int, default=None, help="truncation point")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build a verified complement from dyadic blocks")
     p.add_argument("spec", help=f"sequence spec ({', '.join(FAMILIES)}, [file:]PATH)")
-    p.add_argument("--horizon", type=int, required=True)
+    p.add_argument("--horizon", type=_int, required=True)
     p.add_argument("--alpha", default=None, help="growth-ratio hint, e.g. 1.5")
     p.add_argument("--out", default=None, help="write the complement as a set file")
     p.add_argument("--report", default=None, help="write the JSON report")
@@ -331,11 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("thin", help="greedy-thin a translate cover")
     _add_common_set_args(p)
-    p.add_argument("--q", type=int, default=None, help="dyadic mode: thin (2q,4q] from (q,4q]")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--x1", type=int, default=None)
-    p.add_argument("--x2", type=int, default=None)
+    p.add_argument("--q", type=_int, default=None, help="dyadic mode: thin (2q,4q] from (q,4q]")
+    p.add_argument("--m", type=_int, default=None)
+    p.add_argument("--n", type=_int, default=None)
+    p.add_argument("--x1", type=_int, default=None)
+    p.add_argument("--x2", type=_int, default=None)
     p.add_argument("--b-file", default=None, help="explicit candidate set file")
     p.add_argument("--out", default=None, help="write the selection as a set file")
     p.add_argument("--report", default=None, help="write the JSON trace report")
@@ -343,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="sample |S n [1,n]| / n at geometric points")
     _add_common_set_args(p)
-    p.add_argument("--samples", type=int, default=32)
+    p.add_argument("--samples", type=_int, default=32)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_density)
@@ -355,10 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive minimum cover on a tiny instance")
     _add_common_set_args(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--x1", type=int, default=None)
-    p.add_argument("--x2", type=int, default=None)
+    p.add_argument("--m", type=_int, required=True)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--x1", type=_int, default=None)
+    p.add_argument("--x2", type=_int, default=None)
     p.add_argument("--b-file", default=None)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_oracle)

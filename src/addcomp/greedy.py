@@ -12,8 +12,9 @@ picked unchecked; once that zeroing costs more than the re-checks it
 spares, each walked candidate is re-checked instead, by one C-level gather
 over zero-padded flags indexed from B's smallest candidate.  Gains only
 shrink, so both modes visit candidates in exactly this order.  The trace
-records the chosen order and the per-step marginal gains, each an
-array("q"), and the size bounds.
+records the chosen order and the per-step marginal gains, each in the
+narrowest unsigned array (1, 2, 4 or 8 bytes an entry) that holds its
+largest possible value, and the size bounds.
 
 The quantity controlling the bound is the depth
     depth = |A n [1, m - x1)| - (x2 - x1 - |B|),
@@ -116,14 +117,19 @@ class GreedyTrace(NamedTuple):
     holds but monotonicity may not.
     """
 
-    chosen: array  # array("q"), in selection order
-    gains: array  # array("q"), one per entry of chosen
+    chosen: array  # in selection order, unsigned, of the fewest bytes holding x2 (m + n if thinned)
+    gains: array  # one per entry of chosen, unsigned, of the fewest bytes holding |A n [1, m+n)|
     gain_counts: Mapping[int, int]
     depth: int
     gain_cutoff: int
     bound_two_term: float | None
     bound_closed_form: float | None
     degenerate: bool
+
+
+def _unsigned_type(largest: int) -> str:
+    """The typecode of the fewest of 1, 2, 4 or 8 unsigned bytes that hold largest: B, H, I or Q."""
+    return next(code for code in "BHIQ" if largest < 1 << 8 * array(code).itemsize)
 
 
 def _target_flags(a: NatSet, b: NatSet, m: int, n: int) -> tuple[int, list[int], memoryview, Callable]:
@@ -154,17 +160,18 @@ def greedy_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[array, array]:
 
     Requires only that the translates of B cover (m, m+n].  Returns the
     chosen candidates in selection order together with their marginal gains,
-    each an array("q").
+    each in an array of the fewest of 1, 2, 4 or 8 unsigned bytes that hold
+    its largest possible entry: m + n for chosen, len(a_list) for gains.
 
-    Gains live in lanes of `width` bytes, the fewest of 1, 2, 4 or 8 that
-    hold len(a_list), the largest possible gain, so no lane carries into the
-    next (SIMD within a register).  Lane i of F is the uncovered flag of
-    target lo + i, lo being B's smallest element, and the flags are indexed
-    from lo too, so lane offset // width is the flag index.  Lane i of the
-    sum of F >> (8 * width * x) over the relevant x in A is then the gain of
-    candidate lo + i.  B's point_flags, spread the same way and multiplied
-    by 2^(8 * width) - 1, zero the lanes outside B.
-    Candidates above m + n gain nothing and get no lane.
+    Gains live in lanes of `width` bytes, the same fewest bytes that hold
+    len(a_list), so no lane carries into the next (SIMD within a register),
+    and the gains array has the lanes' type.  Lane i of F is the uncovered
+    flag of target lo + i, lo being B's smallest element, and the flags are
+    indexed from lo too, so lane offset // width is the flag index.  Lane i
+    of the sum of F >> (8 * width * x) over the relevant x in A is then the
+    gain of candidate lo + i.  B's point_flags, spread the same way and
+    multiplied by 2^(8 * width) - 1, zero the lanes outside B.  Candidates
+    above m + n gain nothing and get no lane.
 
     Each pass reads F from one bytes copy of the flags; wider lanes spread
     it into a fresh bytearray that is dropped once F exists.  The sum is
@@ -210,7 +217,8 @@ def greedy_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[array, array]:
     """
     end = m + n
     lo, a_list, view, read = _target_flags(a, b, m, n)
-    width = next(w for w in (1, 2, 4, 8) if len(a_list) < 1 << 8 * w)
+    lane_type = _unsigned_type(len(a_list))
+    width = array(lane_type).itemsize
     size = (end - lo + 1) * width
     gaps = [8 * width * (y - x) for x, y in zip(a_list, a_list[1:])][::-1]
     # Target i + x of a pick at i is also target j + y of candidate j = i + (x - y).
@@ -229,8 +237,8 @@ def greedy_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[array, array]:
     members = spread(point_flags(b, lo, end)) * ((1 << 8 * width) - 1)
 
     uncovered = n
-    chosen = array("q")
-    gains = array("q")
+    chosen = array(_unsigned_type(end))  # a pick above m + n would get no lane
+    gains = array(lane_type)
     g = len(a_list)
     stale = kill = True
     while uncovered:
@@ -250,7 +258,7 @@ def greedy_cover(a: NatSet, b: NatSet, m: int, n: int) -> tuple[array, array]:
             del t
             if kill:
                 lanes = bytearray(lanes)
-                cells = memoryview(lanes).cast("BHIQ"[width.bit_length() - 1])
+                cells = memoryview(lanes).cast(lane_type)
             stale = False
         lane = g.to_bytes(width, "little")
         found = lanes.count(lane) if kill else 0
@@ -295,9 +303,9 @@ def greedy_thin(inst: GreedyInstance) -> tuple[NatSet, GreedyTrace]:
     depth = inst.validate()
     if depth < DEGENERATE_DEPTH:
         cutoff, two_term, closed_form = 1, None, None
-        chosen = array("q", inst.b)
+        chosen = array(_unsigned_type(inst.x2), inst.b)  # validate put B inside (x1, x2]
         lo, a_list, view, read = _target_flags(inst.a, inst.b, inst.m, inst.n)
-        gains = array("q")
+        gains = array(_unsigned_type(len(a_list)))
         for b_el in chosen:
             # A + (m + n) covers nothing, like any A + b above it
             i = min(b_el, inst.m + inst.n) - lo

@@ -41,6 +41,7 @@ __all__ = [
 #: Interval notations: "(]" is (lo, hi], "[)" is [lo, hi), and so on.
 INTERVAL_KINDS = ("()", "(]", "[)", "[]")
 MAX_SAMPLES = 10**6  #: the largest sample count geometric_points accepts
+ECHO_LIMIT = 64  #: the most characters of a bad input text that a message quotes
 
 # For each byte value, the offsets of its set bits; used to enumerate members.
 _BYTE_OFFSETS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
@@ -86,6 +87,20 @@ def show_number(x) -> str:
 def decimal_digits(text: str) -> int:
     """Digits in a signed decimal text, else 0; int() refuses one only past its digit limit."""
     return len(match[1]) if (match := re.fullmatch(r"\s*[+-]?(\d+)\s*", text)) else 0
+
+
+def show_text(text: str) -> str:
+    """repr(text), or once text passes ECHO_LIMIT characters, that many and the full length."""
+    if len(text) <= ECHO_LIMIT:
+        return repr(text)
+    return f"{text[:ECHO_LIMIT]!r} (first {ECHO_LIMIT} of {len(text)} characters)"
+
+
+def unreadable(text: str, what: str, bad: str) -> str:
+    """Why int() refused text: `what` too long to read, by its digit count, past
+    int()'s digit limit; otherwise `bad` followed by show_text(text)."""
+    n = decimal_digits(text)
+    return f"{what} too long to read ({n} digits)" if n else f"{bad} {show_text(text)}"
 
 
 def check_horizon(horizon: int) -> None:
@@ -357,15 +372,15 @@ def read_set_file(path, horizon: int | None = None) -> NatSet:
             try:
                 value = int(line)
             except ValueError:
-                n = decimal_digits(line)
-                why = f"integer too long to read ({n} digits)" if n else f"not an integer: {line!r}"
+                why = unreadable(line, "integer", "not an integer:")
                 raise ValueError(f"{path}:{line_no}: {why}") from None
             if value < 1:
-                raise ValueError(f"{path}:{line_no}: elements must be positive, got {value}")
+                raise ValueError(f"{path}:{line_no}: elements must be positive, "
+                                 f"got {show_number(value)}")
             if value <= prev:
                 raise ValueError(
                     f"{path}:{line_no}: elements must be strictly increasing "
-                    f"({value} after {prev})"
+                    f"({show_number(value)} after {show_number(prev)})"
                 )
             if horizon is None or value <= horizon:
                 out.append(value)

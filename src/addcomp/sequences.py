@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -20,11 +21,12 @@ from .errors import IndexOutOfRange, RatioNotSatisfied
 from .natset import (
     NatSet,
     check_horizon,
-    decimal_digits,
     from_bits,
     non_elements,
     read_set_file,
     show_number,
+    show_text,
+    unreadable,
 )
 
 __all__ = [
@@ -50,6 +52,10 @@ FAMILIES = ("powers", "geometric", "fibonacci", "primes", "composites", "squares
 
 _GEOMETRIC_ITERATION_CAP = 100_000
 
+#: The largest decimal exponent, in size, that a ratio or scale text may carry;
+#: Fraction expands 1eK into K + 1 digits, so a larger K is refused unread.
+MAX_EXPONENT = 100_000
+
 
 class SequenceSpec(NamedTuple):
     """A rule producing the base set: family name, horizon, spec string, parameters."""
@@ -65,14 +71,21 @@ class SequenceSpec(NamedTuple):
 
 def _coerce_fraction(value, what: str) -> Fraction:
     # Strings go through Fraction directly so "1.05" means 21/20 exactly.
+    text = value if isinstance(value, str) else ""
+    if exponent := re.search(r"[eE][+-]?([\d_]+)\s*\Z", text):
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise ValueError(f"{what} exponent must be at most {MAX_EXPONENT} in size, "
+                             f"got {show_text(text)}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError):
         # Fraction reads the digits with int(), which refuses more than its limit
-        n = sum(map(str.isdigit, value)) if isinstance(value, str) else 0
+        n = sum(map(str.isdigit, text))
         if 0 < sys.get_int_max_str_digits() < n:
             raise ValueError(f"{what} too long to read ({n} digits)") from None
-        raise ValueError(f"cannot interpret {value!r} as a {what}") from None
+        shown = show_text(text) if text else repr(value)
+        raise ValueError(f"cannot interpret {shown} as a {what}") from None
 
 
 def parse_spec(text: str, horizon: int | None = None) -> SequenceSpec:
@@ -89,7 +102,8 @@ def parse_spec(text: str, horizon: int | None = None) -> SequenceSpec:
         head = "fibonacci"
     if head != "file" and head not in FAMILIES:
         if not os.path.exists(text):
-            raise ValueError(f"{text!r} is neither a known sequence spec nor an existing file")
+            raise ValueError(
+                f"{show_text(text)} is neither a known sequence spec nor an existing file")
         head, rest, text = "file", text, f"file:{text}"
     if head == "file":
         if not rest:
@@ -97,14 +111,13 @@ def parse_spec(text: str, horizon: int | None = None) -> SequenceSpec:
         a = read_set_file(rest, horizon)
         return SequenceSpec("explicit", a.horizon, text, elements=a)
     if horizon is None:
-        raise ValueError(f"spec {text!r} needs an explicit horizon")
+        raise ValueError(f"spec {show_text(text)} needs an explicit horizon")
     if head == "powers":
         try:
             k = int(rest)
         except ValueError:
-            n = decimal_digits(rest)  # so int() refused its length
-            raise ValueError(f"powers base too long to read ({n} digits)" if n
-                             else f"powers spec needs an integer base, got {rest!r}") from None
+            why = unreadable(rest, "powers base", "powers spec needs an integer base, got")
+            raise ValueError(why) from None
         return SequenceSpec("powers", horizon, text, k=k)
     if head == "geometric":
         params = {}
@@ -112,7 +125,8 @@ def parse_spec(text: str, horizon: int | None = None) -> SequenceSpec:
             key, _, val = part.partition("=")
             key = key.strip()
             if key in params or key not in ("c", "alpha"):
-                raise ValueError(f"geometric takes exactly c and alpha, once each; got {key!r}")
+                raise ValueError(
+                    f"geometric takes exactly c and alpha, once each; got {show_text(key)}")
             params[key] = val.strip()
         missing = {"c", "alpha"} - params.keys()
         if missing:
@@ -193,7 +207,7 @@ def generate(spec: SequenceSpec) -> NatSet:
     if family == "powers":
         k = spec.k
         if k is None or k < 2:
-            raise ValueError(f"powers base must be an integer >= 2, got {k}")
+            raise ValueError(f"powers base must be an integer >= 2, got {show_number(k)}")
         return NatSet(_generate_geometric(Fraction(1, k), Fraction(k), h), h)
     if family == "geometric":
         if spec.c is None or spec.alpha is None:

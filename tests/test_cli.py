@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -565,6 +566,31 @@ def test_density_names_the_sample_count(capsys, samples):
     # checked before the sampling loop, which runs once per point asked for
     (["density", "powers:2", "--horizon", "1024", "--samples", "1000001"],
      "sample count must be at most 1000000, got 1000001"),
+    # a large exponent is refused before Fraction writes out its digits
+    (["build", "powers:2", "--horizon", "1024", "--alpha", "1e999999999"],
+     "ratio bound exponent must be at most 100000 in size, got '1e999999999'"),
+    (["gap", "geometric:c=1,alpha=2e-100001", "--range", "1..10", "--horizon", "10"],
+     "ratio exponent must be at most 100000 in size, got '2e-100001'"),
+    # argparse's integer options: a short bad value as argparse words it, a long one cut
+    (["gap", "powers:2", "--range", "1..10", "--horizon", "abc"],
+     "argument --horizon: invalid int value: 'abc'"),
+    (["gap", "powers:2", "--range", "1..10", "--horizon", "1" * 5000],
+     "argument --horizon: integer too long to read (5000 digits)"),
+    (["thin", "powers:2", "--q", "-" + "1" * 5000],
+     "argument --q: integer too long to read (5000 digits)"),
+    (["density", "powers:2", "--horizon", "64", "--samples", "1" * 5000],
+     "argument --samples: integer too long to read (5000 digits)"),
+    (["oracle", "powers:2", "--m", "1", "--n", "x" * 5000],
+     f"argument --n: invalid int value: {'x' * 64!r} (first 64 of 5000 characters)"),
+    # and bad number text anywhere else is cut the same way
+    (["density", "fraction.set"],
+     f"fraction.set:1: not an integer: {'1/' + '1' * 62!r} (first 64 of 5002 characters)"),
+    (["gap", "powers:1/" + "1" * 5000, "--range", "1..10", "--horizon", "10"],
+     f"powers spec needs an integer base, got {'1/' + '1' * 62!r} (first 64 of 5002 characters)"),
+    (["gap", "powers:2", "--range", "1..x" + "1" * 5000],
+     f"range must look like LO..HI, got {'1..x' + '1' * 60!r} (first 64 of 5004 characters)"),
+    (["build", "powers:2", "--horizon", "1024", "--alpha", "x" * 5000],
+     f"cannot interpret {'x' * 64!r} (first 64 of 5000 characters) as a ratio bound"),
 ], ids=["alpha", "density-horizon", "range", "verify-empty-range", "gap-empty-range",
         "verify-nonpositive-range", "gap-nonpositive-range", "huge-alpha", "tiny-alpha",
         "tiny-geometric-ratio", "huge-negative-scale", "tiny-scale", "long-horizon",
@@ -572,10 +598,27 @@ def test_density_names_the_sample_count(capsys, samples):
         "unreadable-ratio", "unreadable-alpha", "unreadable-fraction-alpha",
         "unreadable-decimal-alpha", "unreadable-fraction-scale", "zero-denominator-alpha",
         "long-lower-range-end", "long-hi-past-horizon",
-        "long-empty-range", "sample-cap"])
-def test_bad_arguments_name_their_clause(capsys, argv, clause):
-    assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: {clause}\n"
+        "long-empty-range", "sample-cap", "huge-alpha-exponent", "huge-ratio-exponent",
+        "bad-int-option", "long-horizon-option", "long-q-option", "long-samples-option",
+        "long-bad-int-option", "long-set-file-fraction", "long-powers-fraction",
+        "long-bad-range", "long-bad-alpha"])
+def test_bad_arguments_name_their_clause(capsys, monkeypatch, tmp_path, argv, clause):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fraction.set").write_text("1/" + "1" * 5000 + "\n")
+    start = time.perf_counter()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses its own options, after a usage line
+        code = exc.code
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: addcomp {argv[0]} ")
+        assert err.endswith(f"\naddcomp {argv[0]}: error: {clause}\n")
+    else:
+        err = capsys.readouterr().err
+        assert err == f"error: {clause}\n"
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert len(err.encode()) <= 500
 
 
 def test_set_file_line_too_long_to_read(tmp_path, capsys):

@@ -1,13 +1,14 @@
 import math
+import pickle
 import random
 import re
-from array import array
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from addcomp import (
+    BlockBuild,
     CoverFailed,
     GreedyInstance,
     NatSet,
@@ -270,16 +271,51 @@ def test_selection_memory_is_a_few_lanes(q):
     assert peak < 9 * 3 * q, peak / (3 * q)
 
 
-def test_selections_are_int64_arrays():
+def _typed(field):
+    """An array's typecode and values, since arrays of different types compare equal."""
+    return field.typecode, list(field)
+
+
+def test_selections_are_the_narrowest_arrays():
+    # each array takes the fewest of 1, 2, 4 or 8 unsigned bytes that hold its
+    # largest possible entry: m + n for chosen (x2 when degenerate), and
+    # |A n [1, m + n)| for gains, the lane width
+    rng = random.Random(61)
+    for relevant, code in ((255, "B"), (256, "H")):
+        a, b, m, n = _wide_instance(rng, relevant, 400, 520)
+        chosen, gains = greedy_cover(a, b, m, n)
+        assert (chosen.typecode, gains.typecode) == ("H", code)
+        assert _lists((chosen, gains)) == _greedy_cover_reference(a, b, m, n)
+        # depth |A n [1, 3)| = 2 with B all of (x1, x2]: the degenerate replay
+        a = NatSet(range(1, relevant + 1), 520)
+        inst = GreedyInstance(a=a, b=from_interval(516, 520, horizon=520),
+                              m=519, n=1, x1=516, x2=520)
+        _, trace = greedy_thin(inst)
+        assert trace.degenerate
+        assert (trace.chosen.typecode, trace.gains.typecode) == ("H", code)
+        assert list(trace.gains) == _replayed_gains(a, trace.chosen, 519, 1)
+    for largest, code in ((255, "B"), (256, "H"), (65535, "H"), (65536, "I")):
+        a = NatSet([1, 2], largest)
+        b = from_interval(largest - 8, largest, horizon=largest)
+        chosen, gains = greedy_cover(a, b, largest - 4, 4)
+        assert (chosen.typecode, gains.typecode) == (code, "B")
+        assert _lists((chosen, gains)) == _greedy_cover_reference(a, b, largest - 4, 4)
+        inst = GreedyInstance(a=a, b=from_interval(largest - 4, largest, horizon=largest),
+                              m=largest - 1, n=1, x1=largest - 4, x2=largest)
+        _, trace = greedy_thin(inst)
+        assert trace.degenerate
+        assert _typed(trace.chosen) == (code, inst.b.to_list())
+        assert _typed(trace.gains) == ("B", _replayed_gains(a, trace.chosen, largest - 1, 1))
+    # a block crosses the helper's pipe pickled, typecodes and all
     a = generate(parse_spec("powers:2", 1 << 10))
-    b = block_cover(a, 64, 128, 256).candidate_set
-    for returned in greedy_cover(a, b, 128, 128):
-        assert isinstance(returned, array) and returned.typecode == "q"
-    for q in (8, 64):  # degenerate, then thinned
-        _, trace = thin_block(a, q)
-        assert trace.degenerate == (q == 8)
-        for field in (trace.chosen, trace.gains):
-            assert isinstance(field, array) and field.typecode == "q"
+    for q, chosen_code in ((8, "B"), (64, "H")):  # degenerate, then thinned
+        blk = BlockBuild(exponent=q.bit_length() - 1, trace=thin_block(a, q)[1],
+                         translate_bound_ok=True)
+        assert blk.trace.degenerate == (q == 8)
+        back = pickle.loads(pickle.dumps(blk, pickle.HIGHEST_PROTOCOL))
+        assert back == blk
+        for field, sent, code in zip(back.trace[:2], blk.trace[:2], (chosen_code, "B")):
+            assert _typed(field) == _typed(sent) and field.typecode == code
 
 
 def test_build_traces_are_monotone_and_exact():
