@@ -21,14 +21,13 @@ from .errors import AddcompError, CoverFailed, NoCover, PreconditionViolated
 from .natset import (
     NatSet,
     count_in,
-    decimal_digits,
     density_profile,
     geometric_points,
     non_elements,
+    read_number,
     read_set_file,
     show_number,
     show_text,
-    unreadable,
     write_set_file,
 )
 from .sequences import FAMILIES, generate, parse_spec
@@ -42,14 +41,8 @@ _EXIT_CODES = {CoverFailed: 1, NoCover: 1, ValueError: 2, OSError: 2, AddcompErr
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    lo_text, _, hi_text = text.partition("..")
-    try:
-        lo, hi = int(lo_text), int(hi_text)
-    except ValueError:
-        digits = [decimal_digits(part) for part in (lo_text, hi_text)]
-        if all(digits):  # so int() refused one for its length
-            raise ValueError(f"range end too long to read ({max(digits)} digits)") from None
-        raise ValueError(f"range must look like LO..HI, got {show_text(text)}") from None
+    shape = f"range must look like LO..HI, got {show_text(text)}"
+    lo, hi = (read_number(end, "range end", lambda _: shape) for end in text.partition("..")[::2])
     if hi < lo:
         raise ValueError(f"range upper end {show_number(hi)} below lower end {show_number(lo)}")
     if hi <= max(lo, 0):  # (LO, HI] holds no natural number
@@ -60,10 +53,9 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _int(text: str) -> int:
     """argparse's int type, naming a value int() refuses by its digit count or a cut echo."""
     try:
-        return int(text)
-    except ValueError:
-        why = unreadable(text, "integer", "invalid int value:")
-        raise argparse.ArgumentTypeError(why) from None
+        return read_number(text, "integer", "invalid int value: {}".format)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _base_set(args, default=None) -> NatSet:

@@ -22,7 +22,9 @@ from __future__ import annotations
 import math
 import re
 import sys
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from contextlib import suppress
+from fractions import Fraction
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "NatSet",
@@ -41,7 +43,8 @@ __all__ = [
 #: Interval notations: "(]" is (lo, hi], "[)" is [lo, hi), and so on.
 INTERVAL_KINDS = ("()", "(]", "[)", "[]")
 MAX_SAMPLES = 10**6  #: the largest sample count geometric_points accepts
-ECHO_LIMIT = 64  #: the most characters of a bad input text that a message quotes
+ECHO_LIMIT = 64  #: the most characters of a bad input text, or digits of a number, a message shows
+MAX_EXPONENT = 100_000  #: the largest exponent read in a Fraction text, whose 1eK has K + 1 digits
 
 # For each byte value, the offsets of its set bits; used to enumerate members.
 _BYTE_OFFSETS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
@@ -78,15 +81,10 @@ def _iter_mask(mask: int) -> Iterator[int]:
 
 
 def show_number(x) -> str:
-    """An int or Fraction x exactly, or its power of ten once x passes 1000 digits."""
-    if max(abs(x.numerator), x.denominator) < 10**1000:
+    """An int or Fraction x exactly, or its power of ten once x passes ECHO_LIMIT digits."""
+    if max(abs(x.numerator), x.denominator) < 10**ECHO_LIMIT:
         return str(x)
     return f"about {'-' * (x < 0)}10^{math.log10(abs(x.numerator)) - math.log10(x.denominator):.0f}"
-
-
-def decimal_digits(text: str) -> int:
-    """Digits in a signed decimal text, else 0; int() refuses one only past its digit limit."""
-    return len(match[1]) if (match := re.fullmatch(r"\s*[+-]?(\d+)\s*", text)) else 0
 
 
 def show_text(text: str) -> str:
@@ -96,11 +94,37 @@ def show_text(text: str) -> str:
     return f"{text[:ECHO_LIMIT]!r} (first {ECHO_LIMIT} of {len(text)} characters)"
 
 
-def unreadable(text: str, what: str, bad: str) -> str:
-    """Why int() refused text: `what` too long to read, by its digit count, past
-    int()'s digit limit; otherwise `bad` followed by show_text(text)."""
-    n = decimal_digits(text)
-    return f"{what} too long to read ({n} digits)" if n else f"{bad} {show_text(text)}"
+def read_number(text: str, what: str, bad: Callable[[str], str] | None = None, kind: type = int):
+    """kind(text), for kind int or Fraction, or a ValueError that names one clause.
+
+    Text that reads once each run of its digits is cut to one digit is refused
+    for its size alone: unread past a decimal exponent of MAX_EXPONENT, and past
+    int()'s digit limit as "<what> too long to read (N digits)".  Other text is
+    bad(show_text(text)), by default "cannot interpret <text> as a <what>".
+    A value that is not a str goes to kind as it is, and a refusal shows its repr.
+    """
+    bad = bad or (lambda shown: f"cannot interpret {shown} as a {what}")
+    if not isinstance(text, str):
+        try:
+            return kind(text)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            raise ValueError(bad(repr(text))) from None
+    exponent = kind is Fraction and re.search(r"[eE][+-]?(\d+(?:_\d+)*)\s*\Z", text)
+    huge = bool(exponent) and float(exponent[1]) > MAX_EXPONENT
+    if not huge:
+        with suppress(ValueError, ZeroDivisionError):
+            return kind(text)
+    try:
+        kind(re.sub(r"\d+", "1", text))
+    except ValueError:
+        raise ValueError(bad(show_text(text))) from None
+    if huge:
+        raise ValueError(f"{what} exponent must be at most {MAX_EXPONENT} in size, "
+                         f"got {show_text(text)}")
+    digits = len(re.sub(r"\D", "", text))
+    if 0 < sys.get_int_max_str_digits() < digits:
+        raise ValueError(f"{what} too long to read ({digits} digits)")
+    raise ValueError(bad(show_text(text)))
 
 
 def check_horizon(horizon: int) -> None:
@@ -365,23 +389,22 @@ def read_set_file(path, horizon: int | None = None) -> NatSet:
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.strip()
-            if not line.isascii() and any("\udc80" <= ch <= "\udcff" for ch in line):
-                raise ValueError(f"{path}:{line_no}: not UTF-8 text")
-            if not line or line.startswith("#"):
-                continue
             try:
-                value = int(line)
-            except ValueError:
-                why = unreadable(line, "integer", "not an integer:")
-                raise ValueError(f"{path}:{line_no}: {why}") from None
-            if value < 1:
-                raise ValueError(f"{path}:{line_no}: elements must be positive, "
-                                 f"got {show_number(value)}")
-            if value <= prev:
-                raise ValueError(
-                    f"{path}:{line_no}: elements must be strictly increasing "
-                    f"({show_number(value)} after {show_number(prev)})"
-                )
+                if not line.isascii() and any("\udc80" <= ch <= "\udcff" for ch in line):
+                    raise ValueError("not UTF-8 text")
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    value = int(line)
+                except ValueError:  # read_number raises, naming why
+                    value = read_number(line, "integer", "not an integer: {}".format)
+                if value < 1:
+                    raise ValueError(f"elements must be positive, got {show_number(value)}")
+                if value <= prev:
+                    raise ValueError(f"elements must be strictly increasing "
+                                     f"({show_number(value)} after {show_number(prev)})")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
             if horizon is None or value <= horizon:
                 out.append(value)
             prev = value

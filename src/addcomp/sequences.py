@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-import re
-import sys
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -23,10 +21,10 @@ from .natset import (
     check_horizon,
     from_bits,
     non_elements,
+    read_number,
     read_set_file,
     show_number,
     show_text,
-    unreadable,
 )
 
 __all__ = [
@@ -52,10 +50,6 @@ FAMILIES = ("powers", "geometric", "fibonacci", "primes", "composites", "squares
 
 _GEOMETRIC_ITERATION_CAP = 100_000
 
-#: The largest decimal exponent, in size, that a ratio or scale text may carry;
-#: Fraction expands 1eK into K + 1 digits, so a larger K is refused unread.
-MAX_EXPONENT = 100_000
-
 
 class SequenceSpec(NamedTuple):
     """A rule producing the base set: family name, horizon, spec string, parameters."""
@@ -67,25 +61,6 @@ class SequenceSpec(NamedTuple):
     c: Fraction | None = None                # geometric: scale
     alpha: Fraction | None = None            # geometric: ratio
     elements: NatSet | None = None           # explicit data
-
-
-def _coerce_fraction(value, what: str) -> Fraction:
-    # Strings go through Fraction directly so "1.05" means 21/20 exactly.
-    text = value if isinstance(value, str) else ""
-    if exponent := re.search(r"[eE][+-]?([\d_]+)\s*\Z", text):
-        digits = exponent[1].replace("_", "").lstrip("0")
-        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
-            raise ValueError(f"{what} exponent must be at most {MAX_EXPONENT} in size, "
-                             f"got {show_text(text)}")
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError):
-        # Fraction reads the digits with int(), which refuses more than its limit
-        n = sum(map(str.isdigit, text))
-        if 0 < sys.get_int_max_str_digits() < n:
-            raise ValueError(f"{what} too long to read ({n} digits)") from None
-        shown = show_text(text) if text else repr(value)
-        raise ValueError(f"cannot interpret {shown} as a {what}") from None
 
 
 def parse_spec(text: str, horizon: int | None = None) -> SequenceSpec:
@@ -113,11 +88,7 @@ def parse_spec(text: str, horizon: int | None = None) -> SequenceSpec:
     if horizon is None:
         raise ValueError(f"spec {show_text(text)} needs an explicit horizon")
     if head == "powers":
-        try:
-            k = int(rest)
-        except ValueError:
-            why = unreadable(rest, "powers base", "powers spec needs an integer base, got")
-            raise ValueError(why) from None
+        k = read_number(rest, "powers base", "powers spec needs an integer base, got {}".format)
         return SequenceSpec("powers", horizon, text, k=k)
     if head == "geometric":
         params = {}
@@ -135,8 +106,8 @@ def parse_spec(text: str, horizon: int | None = None) -> SequenceSpec:
             "geometric",
             horizon,
             text,
-            c=_coerce_fraction(params["c"], "scale"),
-            alpha=_coerce_fraction(params["alpha"], "ratio"),
+            c=read_number(params["c"], "scale", kind=Fraction),
+            alpha=read_number(params["alpha"], "ratio", kind=Fraction),
         )
     if rest:
         raise ValueError(f"family {head!r} takes no parameters")
@@ -278,7 +249,7 @@ def analyze_ratio(a: NatSet, alpha_hint=None) -> RatioAnalysis:
 
     candidates = ALPHA_GRID
     if alpha_hint is not None:
-        candidates = (_coerce_fraction(alpha_hint, "ratio bound"),)
+        candidates = (read_number(alpha_hint, "ratio bound", kind=Fraction),)
         if candidates[0] <= 1:
             raise ValueError(f"ratio bound must exceed 1, got {show_number(candidates[0])}")
     for alpha in candidates:

@@ -1,11 +1,13 @@
 import hashlib
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -591,6 +593,15 @@ def test_density_names_the_sample_count(capsys, samples):
      f"range must look like LO..HI, got {'1..x' + '1' * 60!r} (first 64 of 5004 characters)"),
     (["build", "powers:2", "--horizon", "1024", "--alpha", "x" * 5000],
      f"cannot interpret {'x' * 64!r} (first 64 of 5000 characters) as a ratio bound"),
+    # text that would not read whatever its length is bad text, not text too long to read
+    (["build", "powers:2", "--horizon", "1024", "--alpha", "x" + "1" * 5000],
+     f"cannot interpret {'x' + '1' * 63!r} (first 64 of 5001 characters) as a ratio bound"),
+    (["gap", f"geometric:c=1,alpha=2/{'1' * 5000}x", "--range", "1..10", "--horizon", "10"],
+     f"cannot interpret {'2/' + '1' * 62!r} (first 64 of 5003 characters) as a ratio"),
+    (["build", "powers:2", "--horizon", "1024", "--alpha", "x1e999999999"],
+     "cannot interpret 'x1e999999999' as a ratio bound"),
+    # the ends are read in turn, so a long LO is named before a bad HI is seen
+    (["gap", "powers:2", "--range", "1" * 5000 + "..x"], "range end too long to read (5000 digits)"),
 ], ids=["alpha", "density-horizon", "range", "verify-empty-range", "gap-empty-range",
         "verify-nonpositive-range", "gap-nonpositive-range", "huge-alpha", "tiny-alpha",
         "tiny-geometric-ratio", "huge-negative-scale", "tiny-scale", "long-horizon",
@@ -601,7 +612,8 @@ def test_density_names_the_sample_count(capsys, samples):
         "long-empty-range", "sample-cap", "huge-alpha-exponent", "huge-ratio-exponent",
         "bad-int-option", "long-horizon-option", "long-q-option", "long-samples-option",
         "long-bad-int-option", "long-set-file-fraction", "long-powers-fraction",
-        "long-bad-range", "long-bad-alpha"])
+        "long-bad-range", "long-bad-alpha", "long-malformed-alpha", "long-malformed-ratio",
+        "malformed-alpha-exponent", "long-lo-bad-hi"])
 def test_bad_arguments_name_their_clause(capsys, monkeypatch, tmp_path, argv, clause):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "fraction.set").write_text("1/" + "1" * 5000 + "\n")
@@ -619,6 +631,123 @@ def test_bad_arguments_name_their_clause(capsys, monkeypatch, tmp_path, argv, cl
     assert time.perf_counter() - start < 1
     assert code == 2
     assert len(err.encode()) <= 500
+
+
+NINES = "9" * 999  # below int()'s digit limit, far past what a message shows
+
+
+@pytest.mark.parametrize("argv, clause", [
+    (["thin", "powers:2", "--q", "-" + NINES], "q >= 1: got q=about -10^999"),
+    (["oracle", "powers:2", "--m", "1", "--n", "1", "--x1", "5", "--x2", "-" + NINES],
+     "--x2 about -10^999 below --x1 5"),
+    (["density", "long.set"], "long.set:2: elements must be positive, got about -10^999"),
+    (["gap", "powers:-" + NINES, "--range", "1..10", "--horizon", "10"],
+     "powers base must be an integer >= 2, got about -10^999"),
+], ids=["q", "x2", "set-file-element", "powers-base"])
+def test_numbers_past_the_echo_limit_show_their_power_of_ten(capsys, monkeypatch, tmp_path,
+                                                            argv, clause):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "long.set").write_text(f"3\n-{NINES}\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {clause}\n"
+    assert len(err.encode()) <= 200
+
+
+#: Every numeric argument of every command, "{}" where the value goes, and the
+#: kind the value is read as; "V.set" is a set file whose second line is the value.
+_NUMBER_SLOTS = {
+    "build-powers": (["build", "powers:{}", "--horizon", "1024"], int),
+    "build-scale": (["build", "geometric:c={},alpha=2", "--horizon", "1024"], Fraction),
+    "build-ratio": (["build", "geometric:c=1,alpha={}", "--horizon", "1024"], Fraction),
+    "build-horizon": (["build", "powers:2", "--horizon", "{}"], int),
+    "build-alpha": (["build", "powers:2", "--horizon", "1024", "--alpha", "{}"], Fraction),
+    "verify-horizon": (["verify", "powers:2", "B.set", "--range", "1..10", "--horizon", "{}"], int),
+    "verify-lo": (["verify", "powers:2", "B.set", "--range", "{}..10"], int),
+    "verify-hi": (["verify", "powers:2", "B.set", "--range", "1..{}"], int),
+    "verify-powers": (["verify", "powers:{}", "B.set", "--range", "1..10"], int),
+    "verify-b-file": (["verify", "powers:2", "V.set", "--range", "1..10"], int),
+    "thin-horizon": (["thin", "powers:2", "--q", "4", "--horizon", "{}"], int),
+    "thin-q": (["thin", "powers:2", "--q", "{}"], int),
+    "thin-powers": (["thin", "powers:{}", "--q", "4"], int),
+    "thin-m": (["thin", "powers:2", "--m", "{}", "--n", "8", "--x1", "4", "--x2", "16",
+                "--b-file", "B.set"], int),
+    "thin-n": (["thin", "powers:2", "--m", "8", "--n", "{}", "--x1", "4", "--x2", "16",
+                "--b-file", "B.set"], int),
+    "thin-x1": (["thin", "powers:2", "--m", "8", "--n", "8", "--x1", "{}", "--x2", "16",
+                 "--b-file", "B.set"], int),
+    "thin-x2": (["thin", "powers:2", "--m", "8", "--n", "8", "--x1", "4", "--x2", "{}",
+                 "--b-file", "B.set"], int),
+    "thin-b-file": (["thin", "powers:2", "--m", "8", "--n", "8", "--x1", "4", "--x2", "16",
+                     "--b-file", "V.set"], int),
+    "density-horizon": (["density", "powers:2", "--horizon", "{}"], int),
+    "density-samples": (["density", "powers:2", "--horizon", "64", "--samples", "{}"], int),
+    "density-set-file": (["density", "V.set"], int),
+    "gap-horizon": (["gap", "powers:2", "--range", "1..10", "--horizon", "{}"], int),
+    "gap-lo": (["gap", "powers:2", "--range", "{}..10"], int),
+    "gap-hi": (["gap", "powers:2", "--range", "1..{}"], int),
+    "gap-scale": (["gap", "geometric:c={},alpha=2", "--range", "1..10", "--horizon", "10"],
+                  Fraction),
+    "oracle-horizon": (["oracle", "powers:2", "--m", "8", "--n", "8", "--x1", "4", "--x2", "16",
+                        "--horizon", "{}"], int),
+    "oracle-m": (["oracle", "powers:2", "--m", "{}", "--n", "8", "--x1", "4", "--x2", "16"], int),
+    "oracle-n": (["oracle", "powers:2", "--m", "8", "--n", "{}", "--x1", "4", "--x2", "16"], int),
+    "oracle-x1": (["oracle", "powers:2", "--m", "8", "--n", "8", "--x1", "{}", "--x2", "16"], int),
+    "oracle-x2": (["oracle", "powers:2", "--m", "8", "--n", "8", "--x1", "4", "--x2", "{}"], int),
+    "oracle-b-file": (["oracle", "powers:2", "--m", "8", "--n", "8", "--b-file", "V.set"], int),
+}
+
+
+def _refused_values(rng: random.Random, kind) -> list[str]:
+    """Number texts that no slot of the kind may read: too long, malformed or unbounded."""
+    values = ["1/0", "1e999999999", "-2E+100001", "1e-" + "9" * 4500, "1/0e5"]
+    for mark in ("", "+", "-", " ", "_", "x", "e", "/", "."):
+        digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(4302, 5000)))
+        digits = rng.choice("123456789") + digits[1:]
+        if mark in "+-":
+            values.append(mark + digits)
+        elif mark == " ":
+            values.append(f" {digits} ")
+        else:
+            # Fraction reads the parts around "/" or "." apart, so one alone passes the limit
+            at = rng.randint(1, len(digits) - 4301 if mark in "/." else len(digits) - 1)
+            values.append(digits[:at] + mark + digits[at:])
+    if kind is int:
+        values += ["1.5", "2e3", "0x10"]
+    return values
+
+
+@pytest.mark.parametrize("slot", list(_NUMBER_SLOTS))
+def test_every_numeric_argument_refuses_bad_values(capsys, monkeypatch, tmp_path, slot):
+    # exit 2, a short stderr and a quick end, for a value read on the command line or in a file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "B.set").write_text("5\n6\n7\n")
+    template, kind = _NUMBER_SLOTS[slot]
+    rng = random.Random(f"numbers:{slot}")
+    for value in _refused_values(rng, kind):
+        (tmp_path / "V.set").write_text(f"3\n{value}\n")
+        argv = [arg.replace("{}", value) for arg in template]
+        start = time.perf_counter()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses its own options
+            code = exc.code
+        err = capsys.readouterr().err
+        assert time.perf_counter() - start < 1, (slot, value[:80])
+        assert code == 2, (slot, value[:80], err)
+        assert len(err.encode()) <= 500, (slot, value[:80], err)
+
+
+@pytest.mark.parametrize("line, why", [
+    ("x{0}", "not an integer: 'x{0}'"),
+    ("{}" + "1" * 5000, f"not an integer: {'{}' + '1' * 62!r} (first 64 of 5002 characters)"),
+    ("1" * 5000, "integer too long to read (5000 digits)"),
+], ids=["short", "long-bad", "long"])
+def test_set_file_path_with_braces_is_named_as_it_is(capsys, tmp_path, line, why):
+    path = tmp_path / "{}{0}{name}.set"
+    path.write_text(f"1\n{line}\n")
+    assert main(["density", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:2: {why}\n"
 
 
 def test_set_file_line_too_long_to_read(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -311,6 +312,18 @@ def test_min_tail_start_reads_only_the_tail():
     seq = _CountingList(generate(parse_spec("composites", 10**6)))
     assert all(_min_tail_start(seq, alpha) is None for alpha in ALPHA_GRID)
     assert seq.reads <= 2 * len(ALPHA_GRID)
+
+
+@pytest.mark.parametrize("hint, clause", [
+    ([2], "cannot interpret [2] as a ratio bound"),
+    (float("nan"), "cannot interpret nan as a ratio bound"),
+    (float("inf"), "cannot interpret inf as a ratio bound"),
+    ("1e-999999999", "ratio bound exponent must be at most 100000 in size, got '1e-999999999'"),
+], ids=["list", "nan", "inf", "huge-exponent"])
+def test_ratio_hint_names_why_it_is_not_read(hint, clause):
+    # a hint that is not a str goes to Fraction as it is, and a refusal shows its repr
+    with pytest.raises(ValueError, match=f"^{re.escape(clause)}$"):
+        analyze_ratio(_set([1, 2, 4, 8, 16, 32, 64, 128]), alpha_hint=hint)
 
 
 def test_ratio_failure_texts():
