@@ -9,8 +9,9 @@ clipping is part of each operation's contract.  The dense form makes the
 hot paths (sumset, interval counting) single big-integer shifts and masks;
 sumset also stops shifting once the clipped result can no longer grow.
 point_flags gives one byte per point at C speed, for loops that index
-points; from_bits reads a set from its binary numeral in place, so a sieve
-that writes the digits becomes a set with no copy and no Python loop.
+points; from_bitmap reads a set from a little-endian bitmap, one bit per
+point, so a sieve that clears bits in that layout becomes a set with one
+C-level read and no Python step per point.
 density_profile counts a set at the sample points geometric_points picks.
 
 NatSet values are immutable after construction, so any number of threads
@@ -33,7 +34,7 @@ __all__ = [
     "sumset",
     "non_elements",
     "point_flags",
-    "from_bits",
+    "from_bitmap",
     "count_in",
     "density_profile",
     "read_set_file",
@@ -182,6 +183,13 @@ class NatSet:
     def __iter__(self) -> Iterator[int]:
         return _iter_mask(self._mask)
 
+    def __reversed__(self) -> Iterator[int]:
+        """All elements, descending (bytewise table scan from the top byte)."""
+        data = self._mask.to_bytes((self._mask.bit_length() + 7) >> 3, "little")
+        for byte_index in range(len(data) - 1, -1, -1):
+            for off in reversed(_BYTE_OFFSETS[data[byte_index]]):
+                yield (byte_index << 3) + off
+
     def to_list(self) -> list[int]:
         """All elements, ascending."""
         return list(_iter_mask(self._mask))
@@ -261,8 +269,11 @@ def sumset(a: NatSet, b: NatSet, horizon: int) -> NatSet:
     every later shift sets only bits at or above e + 1 + min(big), so the
     bits below that line are final, and if every bit from the line up to
     the horizon is already set, no later shift changes the result.  The
-    check costs O(horizon), so it runs after shifts 1, 2, 4, 8, ... only;
-    a sumset that never saturates pays for log2(shifts) checks.
+    check is two bit counts, of the bits from the line up and of those above
+    the horizon, so it builds no range mask; it still costs O(horizon), so
+    it runs after shifts 1, 2, 4, 8, ... only, and a sumset that never
+    saturates pays for log2(shifts) checks.  The final clip XORs away the
+    bits above the horizon; acc never holds bit 0, so nothing below 1 is left.
     """
     check_horizon(horizon)
     small, big = (a, b) if len(a) <= len(b) else (b, a)
@@ -276,10 +287,10 @@ def sumset(a: NatSet, b: NatSet, horizon: int) -> NatSet:
         acc |= big_mask << e
         if done == next_check:
             next_check <<= 1
-            tail = _range_mask(e + 1 + low, horizon)
-            if acc & tail == tail:
+            start = min(e + 1 + low, horizon + 1)
+            if (acc >> start).bit_count() - (acc >> horizon + 1).bit_count() == horizon + 1 - start:
                 break
-    return NatSet._from_mask(acc & _range_mask(1, horizon), horizon)
+    return NatSet._from_mask(acc ^ (acc >> horizon + 1 << horizon + 1), horizon)
 
 
 def non_elements(a: NatSet, lo: int, hi: int) -> NatSet:
@@ -305,25 +316,17 @@ def point_flags(a: NatSet, lo: int, hi: int) -> bytes:
     return format(bits, f"0{count}b")[::-1].encode("ascii").translate(_BIT_BYTES)
 
 
-def from_bits(bits: bytes, horizon: int) -> NatSet:
-    """The set whose mask is the binary numeral bits, most significant point first.
+def from_bitmap(buf: bytes | bytearray, horizon: int) -> NatSet:
+    """The set whose mask is the little-endian bitmap buf, one bit per point.
 
-    bits holds the ASCII digits 0 and 1, and its last digit is point 0, so
-    point i is in the set exactly when bits[len(bits) - 1 - i] is ord("1").
-    bits may be shorter than horizon + 1; the points above it are left out.
-    A valid numeral is checked with no copy, and int() reads it as it is.
+    Point i is in the set exactly when bit i & 7 of buf[i >> 3] is set.  buf
+    may be shorter than horizon + 1 bits; the points above it are left out.
+    int.from_bytes reads buf in one C-level pass (a bytearray through one
+    bytes copy of it), with no Python step per point.
     """
-    if len(bits) > horizon + 1:
-        raise ValueError(f"element {len(bits) - 1} exceeds horizon {horizon}")
-    try:
-        # isdigit() passes ASCII 0-9 alone, so int() meets no sign, space, "_" or
-        # "0b" prefix, and it refuses a digit above 1
-        if bits and not bits.isdigit():
-            raise ValueError
-        mask = int(bits or b"0", 2)
-    except ValueError:
-        bad = bits.strip(b"01")
-        raise ValueError(f"bits must be the digits 0 or 1, got {bytes(bad[:1])!r}") from None
+    mask = int.from_bytes(buf, "little")
+    if mask.bit_length() > horizon + 1:
+        raise ValueError(f"element {mask.bit_length() - 1} exceeds horizon {horizon}")
     if mask & 1:
         raise ValueError("elements must be positive naturals, got 0")
     return NatSet._from_mask(mask, horizon)

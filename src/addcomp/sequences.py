@@ -10,6 +10,7 @@ grid values like 1.05 behave as 21/20, not as their binary float neighbours.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from fractions import Fraction
@@ -19,7 +20,7 @@ from .errors import IndexOutOfRange, RatioNotSatisfied
 from .natset import (
     NatSet,
     check_horizon,
-    from_bits,
+    from_bitmap,
     non_elements,
     read_number,
     read_set_file,
@@ -49,6 +50,13 @@ ALPHA_GRID = (
 FAMILIES = ("powers", "geometric", "fibonacci", "primes", "composites", "squares")
 
 _GEOMETRIC_ITERATION_CAP = 100_000
+
+# For each odd bit k, the table that maps a byte to itself with bit k cleared.
+_CLEAR_BIT = {k: bytes(b & ~(1 << k) for b in range(256)) for k in (1, 3, 5, 7)}
+
+# Bytes of the sieve's bitmap all primes strike before the next segment: within a
+# 2 MiB L2 cache, 1 MiB took 0.19 s at 10^8 where one pass per prime took 0.35 s.
+_SIEVE_SEGMENT = 1 << 20
 
 
 class SequenceSpec(NamedTuple):
@@ -114,23 +122,30 @@ def parse_spec(text: str, horizon: int | None = None) -> SequenceSpec:
     return SequenceSpec(head, horizon, text)
 
 
-def _prime_bits(limit: int) -> bytearray:
-    """The binary numeral of the primes up to limit: bits[limit - i] is ord("1") iff i is prime.
+def _prime_bitmap(limit: int) -> bytearray:
+    """The primes up to limit as a bitmap: bit i & 7 of byte i >> 3 is set iff i is prime.
 
-    It starts from the odd numbers and strikes the odd multiples of each odd
-    prime p, from p * p down the buffer, so no temporary passes limit / 6 bytes.
+    It starts from the odd numbers and strikes the odd multiples p * j, j >= p,
+    of each odd prime p.  With j = 8m + r, r odd, p * j is bit p * r & 7 of
+    byte p * m + (p * r >> 3), so each r is one strided slice, stepping p
+    bytes, rewritten through a table that clears that bit: four C-level
+    slice rewrites per prime and segment, and no Python step per multiple.
+    All primes strike one segment of the bitmap before the next, so a
+    prime's four slices meet bytes still in cache.
     """
-    bits = bytearray(b"10" if limit & 1 else b"01") * (limit // 2 + 1)  # the odd numbers
-    del bits[limit + 1:]
-    bits[limit - 1] = ord("0")  # 1 is not prime, 2 is
-    if limit >= 2:
-        bits[limit - 2] = ord("1")
-    for p in range(3, math.isqrt(limit) + 1, 2):
-        if bits[limit - p] == ord("1"):
-            top = limit - p * p  # the digit of p * p
-            # a bytearray is assigned as it is; a bytes value would be copied first
-            bits[top :: -2 * p] = bytearray(b"0") * (top // (2 * p) + 1)
-    return bits
+    buf = bytearray(b"\xaa") * ((limit >> 3) + 1)  # the odd numbers
+    buf[0] = 0xAC  # 1 is not prime, 2 is
+    buf[-1] &= (2 << (limit & 7)) - 1  # nothing above limit
+    root = math.isqrt(limit)
+    step = max(_SIEVE_SEGMENT, (root >> 3) + 1)  # every p <= root lies in the first segment
+    for lo in range(0, len(buf), step):
+        for p in range(3, root + 1, 2):
+            if buf[p >> 3] >> (p & 7) & 1:  # final: the smaller primes struck the first segment
+                for r in (1, 3, 5, 7):
+                    first = p * ((p - r + 7) >> 3) + (p * r >> 3)  # least m with 8m + r >= p
+                    seg = slice(first if first >= lo else lo + (first - lo) % p, lo + step, p)
+                    buf[seg] = buf[seg].translate(_CLEAR_BIT[p * r & 7])
+    return buf
 
 
 def _generate_geometric(c: Fraction, alpha: Fraction, horizon: int) -> list[int]:
@@ -165,8 +180,9 @@ def generate(spec: SequenceSpec) -> NatSet:
     """Realize the family as a NatSet on [1, spec.horizon].
 
     primes and composites (the non-primes in (3, horizon]) come from a sieve
-    that writes the primes' binary numeral, which from_bits reads in place:
-    one byte per integer at the peak, and no Python step per element.
+    that clears bits in the set's own little-endian bitmap, which
+    from_bitmap reads in one pass: one bit per integer, and no Python step
+    per element.
     """
     h = spec.horizon
     check_horizon(h)  # before any family, the sieve included, allocates
@@ -192,7 +208,7 @@ def generate(spec: SequenceSpec) -> NatSet:
             x, y = y, x + y
         return NatSet(vals, h)
     if family in ("primes", "composites"):
-        primes = from_bits(_prime_bits(h), h)
+        primes = from_bitmap(_prime_bitmap(h), h)
         return primes if family == "primes" else non_elements(primes, 3, h)
     if family == "squares":
         return NatSet((i * i for i in range(1, math.isqrt(h) + 1)), h)
@@ -241,25 +257,27 @@ def analyze_ratio(a: NatSet, alpha_hint=None) -> RatioAnalysis:
     (larger alpha means smaller r and p, hence an earlier threshold).
 
     Raises RatioNotSatisfied when no ratio holds on any nonvacuous tail, and
-    IndexOutOfRange when A is too short for the derived r.
+    IndexOutOfRange when A is too short for the derived r.  A ratio holds on
+    some tail exactly when it holds on A's last pair, so that pair is tested
+    first, and A is listed only once a ratio holds.
     """
-    seq = a.to_list()
-    if len(seq) < 2:
-        raise RatioNotSatisfied(f"need at least two elements, got {len(seq)}")
+    if len(a) < 2:
+        raise RatioNotSatisfied(f"need at least two elements, got {len(a)}")
 
     candidates = ALPHA_GRID
     if alpha_hint is not None:
         candidates = (read_number(alpha_hint, "ratio bound", kind=Fraction),)
         if candidates[0] <= 1:
             raise ValueError(f"ratio bound must exceed 1, got {show_number(candidates[0])}")
-    for alpha in candidates:
-        n0 = _min_tail_start(seq, alpha)
-        if n0 is not None:
-            break
-    else:
+    last, before = itertools.islice(reversed(a), 2)
+    alpha = next((x for x in candidates if last * x.denominator >= before * x.numerator), None)
+    if alpha is None:
         if alpha_hint is not None:
-            raise RatioNotSatisfied(f"no tail satisfies a_(n+1) >= {show_number(alpha)} * a_n")
+            raise RatioNotSatisfied(
+                f"no tail satisfies a_(n+1) >= {show_number(candidates[0])} * a_n")
         raise RatioNotSatisfied("no grid ratio holds on any tail; the sequence grows too slowly")
+    seq = a.to_list()
+    n0 = _min_tail_start(seq, alpha)
 
     # Stop raising the power once the sequence is too short for r: as alpha
     # nears 1 the exact powers grow long and r runs into the thousands.

@@ -56,7 +56,7 @@ COMMAND_LOADS = [
 #: Public names that were removed; none may come back through an export list.
 REMOVED = ("translate", "translate_count_upper_bound", "HypothesisViolated", "read_elements",
            "DensityProfile", "choose_gain_cutoff", "two_term_bound", "closed_form_bound",
-           "CoverCertificate")
+           "CoverCertificate", "from_bits")
 
 #: Every public record type; each is an immutable NamedTuple.
 RECORDS = ("SequenceSpec", "RatioAnalysis", "BlockCoverResult", "GreedyInstance", "GreedyTrace",

@@ -10,7 +10,7 @@ from addcomp import (
     NatSet,
     count_in,
     density_profile,
-    from_bits,
+    from_bitmap,
     from_interval,
     generate,
     non_elements,
@@ -150,53 +150,61 @@ def test_point_flags_match_element_by_element():
     assert point_flags(NatSet([], 10), 1, 10) == bytes(10)
 
 
-def _numeral(a, h):
-    """A's binary numeral on [0, h], built from point_flags: most significant point first."""
-    return point_flags(a, 0, h)[::-1].translate(bytes.maketrans(b"\x00\x01", b"01"))
+def _bitmap(elements, h):
+    """The little-endian bitmap of the elements on [0, h], built point by point."""
+    buf = bytearray((h >> 3) + 1)
+    for e in elements:
+        buf[e >> 3] |= 1 << (e & 7)
+    return buf
 
 
-@pytest.mark.parametrize("h", [1, 7, 8, 9, 4096])
-def test_from_bits_inverts_the_numeral_of_point_flags(h):
+@pytest.mark.parametrize("h", [1, 7, 8, 9, 15, 16, 17, 4096, 4097])
+def test_from_bitmap_round_trips_natset(h):
     rng = random.Random(h)
     for density in (0.0, 0.3, 0.7, 1.0):
         a = random_natset(rng, h, density)
-        bits = _numeral(a, h)
-        assert from_bits(bits, h) == a, density
-        assert from_bits(bytearray(bits), h) == a, density
+        buf = _bitmap(a, h)
+        assert from_bitmap(bytes(buf), h) == a, density
+        assert from_bitmap(buf, h) == a, density
+        # a buffer shorter than the horizon leaves out the points above it
+        for size in {0, 1, len(buf) // 2, len(buf) - 1}:
+            want = NatSet([x for x in a if x < 8 * size], h)
+            assert from_bitmap(bytes(buf[:size]), h) == want, (density, size)
+            assert from_bitmap(buf[:size], h) == want, (density, size)
 
 
-def test_from_bits_leaves_out_points_above_shorter_bits():
-    assert from_bits(b"1010", 10) == NatSet([1, 3], 10)
-    assert from_bits(b"", 10) == NatSet([], 10)
-    assert from_bits(bytearray(b"10"), 1) == NatSet([1], 1)
+def test_from_bitmap_leaves_out_points_above_a_shorter_buffer():
+    assert from_bitmap(b"\x0a", 10) == NatSet([1, 3], 10)
+    assert from_bitmap(b"", 10) == NatSet([], 10)
+    assert from_bitmap(bytearray(b"\x02"), 1) == NatSet([1], 1)
+    # zero bits past the horizon are no elements
+    assert from_bitmap(bytes(4), 5) == NatSet([], 5)
 
 
-@pytest.mark.parametrize("bits, clause", [
-    (b"11", "elements must be positive naturals, got 0"),
-    (b"210", "bits must be the digits 0 or 1, got b'2'"),
-    (b"1 0", "bits must be the digits 0 or 1, got b' '"),
-    # int() alone would read a prefix or an underscore
-    (b"0b10", "bits must be the digits 0 or 1, got b'b'"),
-    (b"1_0", "bits must be the digits 0 or 1, got b'_'"),
-    (b"0" * 7, "element 6 exceeds horizon 5"),  # len(bits) == h + 2
-], ids=["point-0", "digit-2", "space", "prefix", "underscore", "too-long"])
-def test_from_bits_rejects_bad_bits(bits, clause):
+@pytest.mark.parametrize("buf, clause", [
+    (b"\x03", "elements must be positive naturals, got 0"),
+    (b"\x40", "element 6 exceeds horizon 5"),  # above the horizon, in its own byte
+    (b"\x20\x01", "element 8 exceeds horizon 5"),  # in the byte after it
+], ids=["point-0", "too-long", "next-byte"])
+def test_from_bitmap_rejects_bad_bits(buf, clause):
     with pytest.raises(ValueError, match=f"^{re.escape(clause)}$"):
-        from_bits(bits, 5)
+        from_bitmap(buf, 5)
     with pytest.raises(ValueError, match=f"^{re.escape(clause)}$"):
-        from_bits(bytearray(bits), 5)
+        from_bitmap(bytearray(buf), 5)
 
 
-def test_from_bits_checks_allocate_nothing_the_size_of_bits():
-    bits = _numeral(NatSet(range(1, 10**6, 3), 10**6), 10**6)
-    tracemalloc.start()
-    try:
-        a = from_bits(bits, 10**6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(a) == len(range(1, 10**6, 3))
-    assert peak < 10**6 // 8 + 2**16, peak  # the mask, and no copy of the digits
+def test_from_bitmap_allocates_only_the_mask():
+    h = 10**6
+    buf = _bitmap(range(1, h, 3), h)
+    for data, copies in ((bytes(buf), 1), (buf, 2)):  # a bytearray is read through one bytes copy
+        tracemalloc.start()
+        try:
+            a = from_bitmap(data, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(a) == len(range(1, h, 3))
+        assert peak < copies * h // 8 + 2**16, (type(data), peak)
 
 
 @pytest.mark.parametrize("width", [1, 2, 4, 8])
@@ -352,6 +360,23 @@ def test_sumset_early_exit_keeps_low_holes(monkeypatch):
     assert pulled == [2, 40]
     assert got.to_list() == [5, 9, *range(22, h + 1)]
     assert got == sumset_reference(a, b, h)
+
+
+def test_sumset_stops_once_later_shifts_pass_the_horizon(monkeypatch):
+    # after the shift by 5 every later sum is at least 6 + 17 > 20, while the
+    # bits above the horizon (22, 24, 25) hold a hole at 23 that must not count
+    pulled = _count_pulls(monkeypatch)
+    got = sumset(NatSet([5, 6, 7], 20), NatSet([17, 19, 20], 20), 20)
+    assert pulled == [5]
+    assert got == NatSet([], 20)
+
+
+def test_reversed_lists_the_elements_descending():
+    rng = random.Random(104)
+    for h in (1, 7, 8, 9, 300):
+        for density in (0.0, 0.3, 1.0):
+            a = random_natset(rng, h, density)
+            assert list(reversed(a)) == a.to_list()[::-1], (h, density)
 
 
 @pytest.mark.parametrize("h", [10, 11, 97, 500, 1999, 2000])

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -86,6 +87,21 @@ def test_gap_detector_composites_is_empty():
     assert gap_detector(comp, 10, 10**4).to_list() == []
     comp = generate(parse_spec("composites", 10**5))
     assert gap_detector(comp, 10, 10**5).to_list() == []
+
+
+def test_gap_detector_composites_peaks_below_six_masks():
+    # the complement, the shifted sums and the result; the saturation check
+    # and the clip build no range mask of their own
+    h = 10**6
+    comp = generate(parse_spec("composites", h))
+    tracemalloc.start()
+    try:
+        gaps = gap_detector(comp, 10, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not gaps
+    assert peak < 6 * h // 8, peak
 
 
 def test_gap_detector_full_set_has_no_candidates():

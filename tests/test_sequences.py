@@ -61,6 +61,16 @@ def test_sieve_families_match_trial_division():
         assert generate(parse_spec("composites", h)).to_list() == composites, h
 
 
+@pytest.mark.parametrize("segment", [1, 2, 3, 64])
+def test_sieve_segments_match_trial_division(monkeypatch, segment):
+    # a bitmap past one segment is struck a segment at a time; small segments
+    # put many boundaries inside the horizons that tests can afford
+    monkeypatch.setattr(sequences_module, "_SIEVE_SEGMENT", segment)
+    for h in [*range(1, 401), 10**4]:
+        primes = [n for n in range(1, h + 1) if _is_prime(n)]
+        assert generate(parse_spec("primes", h)).to_list() == primes, h
+
+
 def test_sieve_family_sizes_at_a_million():
     assert len(generate(parse_spec("primes", 10**6))) == 78_498
     assert len(generate(parse_spec("composites", 10**6))) == 921_501
@@ -75,8 +85,8 @@ def test_sieve_families_build_no_set_element_by_element(monkeypatch, family):
 
 @pytest.mark.parametrize("family", ["primes", "composites"])
 def test_sieve_families_peak_below_one_and_a_half_bytes_per_point(family):
-    # the sieve writes the numeral that from_bits reads in place: one byte per
-    # point, plus a sixth for the strike of 3 or an eighth for the mask
+    # the sieve clears bits in the set's own bitmap, one bit per point, which
+    # from_bitmap reads through one copy
     h = 10**6
     tracemalloc.start()
     try:
@@ -86,6 +96,21 @@ def test_sieve_families_peak_below_one_and_a_half_bytes_per_point(family):
         tracemalloc.stop()
     assert a.horizon == h
     assert peak < 1.5 * h, peak
+
+
+@pytest.mark.parametrize("family, per_point", [("primes", 0.5), ("composites", 0.75)])
+def test_sieve_families_peak_within_a_few_bitmaps(family, per_point):
+    # the bitmap, its bytes copy and the mask are h/8 bytes each; composites
+    # add the complement's masks
+    h = 10**6
+    tracemalloc.start()
+    try:
+        a = generate(parse_spec(family, h))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.horizon == h
+    assert peak < per_point * h, peak
 
 
 def test_explicit_rejects_disorder(tmp_path):
@@ -359,6 +384,24 @@ def test_rejection_lists_a_only_once():
     finally:
         tracemalloc.stop()
     assert peak < 38 * 2**20
+
+
+@pytest.mark.parametrize("hint, clause", [
+    (None, "no grid ratio holds on any tail; the sequence grows too slowly"),
+    ("2", "no tail satisfies a_(n+1) >= 2 * a_n"),
+], ids=["grid", "hint"])
+def test_rejection_lists_no_element(hint, clause):
+    # a ratio holds on some tail exactly when it holds on A's last pair, so a
+    # rejection reads that pair and never lists the 921,501 composites (35 MiB)
+    a = generate(parse_spec("composites", 10**6))
+    tracemalloc.start()
+    try:
+        with pytest.raises(RatioNotSatisfied, match=f"^{re.escape(clause)}$"):
+            analyze_ratio(a, alpha_hint=hint)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6, peak
 
 
 def test_determinism():
